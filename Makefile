@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race check bench kernel solverbench bench-guard chaos chaos-wire chaos-smoke metrics metrics-smoke crash-resume transport worker-smoke serve-smoke elastic elastic-smoke portfolio-smoke
+.PHONY: build vet test race check bench kernel solverbench bench-guard perfbench-test chaos chaos-wire chaos-smoke metrics metrics-smoke crash-resume transport worker-smoke serve-smoke elastic elastic-smoke portfolio-smoke
 
 build:
 	$(GO) build ./...
@@ -68,6 +68,13 @@ solverbench:
 # more than 15% against the committed BENCH_kernel.json.
 bench-guard:
 	./scripts/bench_guard.sh BENCH_kernel.json
+
+# perfbench-test vets and tests the benchmark module. perfbench/ is a module
+# of its own, so the root `go test ./...` never reaches it; its pinned-suite
+# checks replay the seed-1 and seed-97 trajectories, so a kernel change that
+# moves a single search decision fails here.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # metrics runs the observability suite under the race detector: the registry
 # unit/race-hammer tests, the exposition golden tests, the HTTP endpoint and

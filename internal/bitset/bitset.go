@@ -42,21 +42,26 @@ func FromIndices(n int, idx []int) *Set {
 func (s *Set) Len() int { return s.n }
 
 // Get reports whether bit i is set. It panics if i is out of range.
+//
+// Get, Set and Clear must stay within the compiler's inlining budget, so the
+// search scan loops pay no call per bit test: the range check is one
+// unsigned compare, the word index an unsigned shift, and the panic message
+// is formatted only when the panic value is printed (indexError.Error).
 func (s *Set) Get(i int) bool {
 	s.check(i)
-	return s.words[i/wordBits]&(1<<uint(i%wordBits)) != 0
+	return s.words[uint(i)/wordBits]&(1<<(uint(i)%wordBits)) != 0
 }
 
 // Set sets bit i to one.
 func (s *Set) Set(i int) {
 	s.check(i)
-	s.words[i/wordBits] |= 1 << uint(i%wordBits)
+	s.words[uint(i)/wordBits] |= 1 << (uint(i) % wordBits)
 }
 
 // Clear sets bit i to zero.
 func (s *Set) Clear(i int) {
 	s.check(i)
-	s.words[i/wordBits] &^= 1 << uint(i%wordBits)
+	s.words[uint(i)/wordBits] &^= 1 << (uint(i) % wordBits)
 }
 
 // Flip inverts bit i and returns its new value.
@@ -236,10 +241,19 @@ func (s *Set) Key() string {
 	return string(s.AppendKey(make([]byte, 0, len(s.words)*8)))
 }
 
+// check panics with an indexError unless 0 <= i < Len(). A negative i
+// converts to a huge unsigned value, so one compare covers both ends.
 func (s *Set) check(i int) {
-	if i < 0 || i >= s.n {
-		panic(fmt.Sprintf("bitset: index %d out of range [0,%d)", i, s.n))
+	if uint(i) >= uint(s.n) {
+		panic(indexError{i: i, n: s.n})
 	}
+}
+
+// indexError is the panic value of an out-of-range bit access.
+type indexError struct{ i, n int }
+
+func (e indexError) Error() string {
+	return fmt.Sprintf("bitset: index %d out of range [0,%d)", e.i, e.n)
 }
 
 // trim zeroes any bits beyond the logical length in the last word.

@@ -81,6 +81,21 @@ func TestOutOfRangePanics(t *testing.T) {
 	}
 }
 
+// The panic value formats its message lazily; it must still read as before
+// when printed.
+func TestOutOfRangePanicMessage(t *testing.T) {
+	defer func() {
+		err, ok := recover().(error)
+		if !ok {
+			t.Fatal("out-of-range Get did not panic with an error value")
+		}
+		if got, want := err.Error(), "bitset: index -3 out of range [0,10)"; got != want {
+			t.Fatalf("panic message %q, want %q", got, want)
+		}
+	}()
+	New(10).Get(-3)
+}
+
 func TestCount(t *testing.T) {
 	s := New(200)
 	want := 0

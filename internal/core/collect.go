@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/mkp"
@@ -140,7 +141,7 @@ func (c *collector) collectFaulty(round int, budgets []int64, results []*tabu.Re
 	assigned := make([]int, p)  // node currently responsible for each slot
 	timedOut := make([]bool, p) // node already charged a miss this round
 	stolen := make([]bool, p)   // slot already handed to a thief this round
-	var finished []int          // nodes that reported this round (borrow candidates)
+	var finished []int          // nodes that reported this round, ascending (borrow candidates)
 	borrow := 0
 	outstanding := 0
 	var maxBudget int64
@@ -315,7 +316,11 @@ func (c *collector) collectFaulty(round int, budgets []int64, results []*tabu.Re
 					outstanding--
 					if n := rep.Node - 1; n >= 0 && n < p {
 						c.nodeFail[n] = 0
-						finished = append(finished, rep.Node)
+						// Kept in node order, not arrival order, so which
+						// node a redispatch borrows does not depend on
+						// timing once the same nodes have reported.
+						at, _ := slices.BinarySearch(finished, rep.Node)
+						finished = slices.Insert(finished, at, rep.Node)
 						if c.heal != nil && rep.Res != nil {
 							// A result is definitive progress: account the moves
 							// and reset the watchdog to the watermark the node

@@ -10,10 +10,11 @@ import (
 // RankByUtility returns item indices sorted by decreasing pseudo-utility
 // c_j / Σ_i (a_ij / b_i). Ties break to the lower index for determinism.
 // The ranking is computed once per instance (in Finalize) and cached; this
-// returns an independent copy callers may reorder freely.
+// returns the shared cache itself, so callers must treat it as read-only and
+// copy it before reordering.
 func RankByUtility(ins *Instance) []int {
 	ins.Finalize()
-	return append([]int(nil), ins.utilRank...)
+	return ins.utilRank
 }
 
 // rankByUtility computes the utility ordering from scratch. Finalize calls it
@@ -60,8 +61,7 @@ func RandomizedGreedy(ins *Instance, r *rng.Rand, rcl int) Solution {
 		rcl = 1
 	}
 	st := NewState(ins)
-	order := RankByUtility(ins)
-	remaining := append([]int(nil), order...)
+	remaining := append([]int(nil), RankByUtility(ins)...)
 	for len(remaining) > 0 {
 		// Collect up to rcl fitting candidates in utility order.
 		cands := make([]int, 0, rcl)

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 )
 
@@ -39,9 +40,8 @@ type Instance struct {
 	BestKnown float64
 
 	// Derived, built once by Finalize (nil until then).
-	WeightCol  []float64 // column-major a_ij: item j's M weights at [j*M:(j+1)*M]
-	MinWeight  []float64 // min_i a_ij per item: quick-reject bound for Fits
-	HeaviestIn []int32   // argmax_i a_ij per item: the constraint most likely to reject j
+	WeightCol []float64 // column-major a_ij: item j's M weights at [j*M:(j+1)*M]
+	MinWeight []float64 // min_i a_ij per item: quick-reject bound for Fits
 
 	// Blocked layout for the word-parallel Fits scan: PadM is M rounded up
 	// to a multiple of fitsBlock, and WeightColPad holds item j's column at
@@ -54,6 +54,13 @@ type Instance struct {
 	utilRank   []int     // items by decreasing pseudo-utility (shared, read-only)
 	rankSufMin []float64 // suffix min of MinWeight along utilRank (scan early exit)
 	finalize   sync.Once
+
+	// Built on first use rather than in Finalize, which a wire worker runs
+	// inside its handshake: only the searches that read them pay for them.
+	byProfit   []int     // items by decreasing profit (ProfitOrder)
+	burden     []float64 // BurdenRatio per item
+	profitOnce sync.Once
+	burdenOnce sync.Once
 }
 
 // fitsBlock is the unroll width of the word-parallel Fits scan; PadM is a
@@ -70,26 +77,20 @@ func (ins *Instance) Finalize() {
 		m, n := ins.M, ins.N
 		col := make([]float64, n*m)
 		minW := make([]float64, n)
-		heaviest := make([]int32, n)
 		for j := 0; j < n; j++ {
 			base := j * m
-			lo, hi, hiAt := 0.0, -1.0, int32(0)
+			lo := 0.0
 			for i := 0; i < m; i++ {
 				a := ins.Weight[i][j]
 				col[base+i] = a
 				if i == 0 || a < lo {
 					lo = a
 				}
-				if a > hi {
-					hi, hiAt = a, int32(i)
-				}
 			}
 			minW[j] = lo
-			heaviest[j] = hiAt
 		}
 		ins.WeightCol = col
 		ins.MinWeight = minW
-		ins.HeaviestIn = heaviest
 
 		pm := (m + fitsBlock - 1) &^ (fitsBlock - 1)
 		pad := make([]float64, n*pm) // pads stay 0: a zero weight never rejects
@@ -242,11 +243,38 @@ func (ins *Instance) PseudoUtility(j int) float64 {
 // BurdenRatio returns Σ_i a_ij / c_j for item j: the "less interesting
 // objects ... with large Σ_i a_ij/c_j ratio" score the paper's strategic
 // oscillation uses to project infeasible solutions back into the feasible
-// domain (§3.2).
+// domain (§3.2). The ratios are computed once per instance, on first use,
+// each summing its column in constraint order, so repair's sort keys are
+// exactly those of a from-scratch evaluation while a comparison costs an
+// index instead of M strided loads.
 func (ins *Instance) BurdenRatio(j int) float64 {
-	s := 0.0
-	for i := 0; i < ins.M; i++ {
-		s += ins.Weight[i][j]
-	}
-	return s / ins.Profit[j]
+	ins.burdenOnce.Do(func() {
+		br := make([]float64, ins.N)
+		for k := range br {
+			s := 0.0
+			for i := 0; i < ins.M; i++ {
+				s += ins.Weight[i][k]
+			}
+			br[k] = s / ins.Profit[k]
+		}
+		ins.burden = br
+	})
+	return ins.burden[j]
+}
+
+// ProfitOrder returns the items by decreasing profit c_j (read-only), ties
+// to the lower index, computed once per instance on first use. A scan that
+// wants only the items more profitable than some c walks a prefix of it.
+func (ins *Instance) ProfitOrder() []int {
+	ins.profitOnce.Do(func() {
+		order := make([]int, ins.N)
+		for j := range order {
+			order[j] = j
+		}
+		sort.SliceStable(order, func(a, b int) bool {
+			return ins.Profit[order[a]] > ins.Profit[order[b]]
+		})
+		ins.byProfit = order
+	})
+	return ins.byProfit
 }

@@ -1,6 +1,7 @@
 package mkp
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -179,13 +180,23 @@ func TestKernelDifferentialGreedy(t *testing.T) {
 func TestFinalizeDerivedLayout(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	ins := randInstance(r, 13, 4)
+	// Non-integer weights and profits make the burden sums round, so a
+	// cache summed in another order would differ in the last bits.
+	for i := range ins.Weight {
+		for j := range ins.Weight[i] {
+			ins.Weight[i][j] *= 0.1 + r.Float64()
+		}
+	}
+	for j := range ins.Profit {
+		ins.Profit[j] /= 3
+	}
 	ins.Finalize()
 	if len(ins.WeightCol) != 13*4 {
 		t.Fatalf("WeightCol has %d entries, want %d", len(ins.WeightCol), 13*4)
 	}
 	for j := 0; j < ins.N; j++ {
 		col := ins.ItemWeights(j)
-		minW, heaviest := col[0], 0
+		minW, sum := col[0], 0.0
 		for i := 0; i < ins.M; i++ {
 			if col[i] != ins.Weight[i][j] {
 				t.Fatalf("WeightCol[%d*M+%d] = %v, want Weight[%d][%d] = %v", j, i, col[i], i, j, ins.Weight[i][j])
@@ -193,15 +204,15 @@ func TestFinalizeDerivedLayout(t *testing.T) {
 			if col[i] < minW {
 				minW = col[i]
 			}
-			if col[i] > col[heaviest] {
-				heaviest = i
-			}
+			sum += ins.Weight[i][j]
 		}
 		if ins.MinWeight[j] != minW {
 			t.Fatalf("MinWeight[%d] = %v, want %v", j, ins.MinWeight[j], minW)
 		}
-		if ins.HeaviestIn[j] != int32(heaviest) {
-			t.Fatalf("HeaviestIn[%d] = %d, want %d", j, ins.HeaviestIn[j], heaviest)
+		// The cached burden ratio must be the from-scratch sum bit for bit:
+		// repair sorts by it, and one ulp reorders a tie.
+		if got, want := ins.BurdenRatio(j), sum/ins.Profit[j]; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("BurdenRatio(%d) = %v (%#x), want %v (%#x)", j, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
 	}
 	// Clone carries an equivalent finalized layout.

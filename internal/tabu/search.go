@@ -33,11 +33,12 @@ type Searcher struct {
 	r   *rng.Rand
 
 	st       *mkp.State
-	rank     []int     // items by decreasing pseudo-utility (static)
+	rank     []int     // items by decreasing pseudo-utility (the instance's, read-only)
 	sufMin   []float64 // suffix min of MinWeight along rank (scan early exit)
 	core     *Core     // adopted LP core; nil = unrestricted
 	order    []int     // scan order: core.Order under guidance, rank otherwise
 	orderSuf []float64 // suffix min of MinWeight along order
+	pos      []int32   // pos[j] = j's index in order, -1 when order leaves j out
 	history  []int64   // history[j] = moves during which x_j was 1
 	tabuAdd  []int64   // move count until which j may not be re-added
 	tabuDrop []int64   // move count until which j may not be dropped
@@ -53,8 +54,11 @@ type Searcher struct {
 	km kernelMetrics
 
 	// scratch buffers reused across calls
-	idxBuf  []int
-	flipBuf []int
+	idxBuf    []int
+	flipBuf   []int
+	addBuf    []int  // refillSweep's tentative refill
+	forcedBuf []int  // diversify's forced-in items
+	locked    []bool // repairKeeping's marks, all false between calls
 }
 
 // NewSearcher validates the instance and prepares a searcher seeded with seed.
@@ -64,7 +68,7 @@ func NewSearcher(ins *mkp.Instance, seed uint64) (*Searcher, error) {
 	}
 	rank := mkp.RankByUtility(ins)
 	sufMin := mkp.SuffixMinWeight(ins, rank)
-	return &Searcher{
+	s := &Searcher{
 		ins:      ins,
 		r:        rng.New(seed),
 		st:       mkp.NewState(ins),
@@ -72,10 +76,14 @@ func NewSearcher(ins *mkp.Instance, seed uint64) (*Searcher, error) {
 		sufMin:   sufMin,
 		order:    rank,
 		orderSuf: sufMin,
+		pos:      make([]int32, ins.N),
 		history:  make([]int64, ins.N),
 		tabuAdd:  make([]int64, ins.N),
 		tabuDrop: make([]int64, ins.N),
-	}, nil
+		locked:   make([]bool, ins.N),
+	}
+	s.indexOrder()
+	return s, nil
 }
 
 // Instance returns the instance the searcher solves.
@@ -462,41 +470,57 @@ func (s *Searcher) intensify(p Params, local mkp.Solution, best *mkp.Solution, p
 // solution becomes the new current point.
 func (s *Searcher) intensifySwap(local mkp.Solution, best *mkp.Solution, pool *Pool) {
 	s.st.Load(local.X)
-	improved := true
-	for improved {
+	s.swapPass()
+	s.refillSweep()
+	s.fill()
+	s.adopt(best, pool)
+}
+
+// swapPass sweeps the packed items until a sweep exchanges nothing. Each
+// free packed item i is dropped and replaced by the first item of the scan
+// order that is out, more profitable than i and fits; i goes back in when
+// there is none.
+//
+// Most of the scan order fails the profit test, so the pass does not walk
+// it: it walks the instance's profit order down to the first item no more
+// profitable than i, and of the candidates that fit keeps the one with the
+// smallest scan position — the item the first-fit walk of the order picks.
+// Once a candidate is found, only earlier positions are probed further.
+func (s *Searcher) swapPass() {
+	byProfit := s.ins.ProfitOrder()
+	profit := s.ins.Profit
+	minW := s.ins.MinWeight
+	for improved := true; improved; {
 		improved = false
 		packed := s.st.X.Indices(s.idxBuf[:0])
-		minW := s.ins.MinWeight
 		for _, i := range packed {
 			if s.core != nil && !s.core.Free(i) {
 				continue // fixed-in items are not swap candidates
 			}
-			ci := s.ins.Profit[i]
+			ci := profit[i]
 			s.st.Drop(i)
 			maxSlack := s.st.MaxSlack()
-			swapped := false
-			for k, j := range s.order {
-				if s.orderSuf[k] > maxSlack {
-					break // nothing below can fit any constraint
+			pick, at := -1, int32(len(s.order))
+			for _, j := range byProfit {
+				if profit[j] <= ci {
+					break // the rest are no more profitable than i
 				}
-				if minW[j] > maxSlack || s.st.X.Get(j) || s.ins.Profit[j] <= ci {
-					continue
-				}
-				if s.st.Fits(j) {
-					s.st.Add(j)
-					swapped, improved = true, true
-					break
+				// A negative position (j outside the order) fails as a
+				// huge unsigned one.
+				if k := s.pos[j]; uint32(k) < uint32(at) &&
+					minW[j] <= maxSlack && !s.st.X.Get(j) && s.st.Fits(j) {
+					pick, at = j, k
 				}
 			}
-			if !swapped {
+			if pick >= 0 {
+				s.st.Add(pick)
+				improved = true
+			} else {
 				s.st.Add(i) // undo
 			}
 		}
 		s.idxBuf = packed[:0]
 	}
-	s.refillSweep()
-	s.fill()
-	s.adopt(best, pool)
 }
 
 // refillSweep generalizes the 1-for-1 swap: for each packed item, try
@@ -505,9 +529,9 @@ func (s *Searcher) intensifySwap(local mkp.Solution, best *mkp.Solution, pool *P
 // 1-for-2 exchanges that separate near-optimal solutions on strongly
 // correlated instances.
 func (s *Searcher) refillSweep() {
-	packed := s.st.X.Indices(nil)
+	packed := s.st.X.Indices(s.idxBuf[:0])
 	minW := s.ins.MinWeight
-	var added []int
+	added := s.addBuf[:0]
 	for _, i := range packed {
 		if !s.st.X.Get(i) {
 			continue // removed by an earlier exchange in this sweep
@@ -537,6 +561,7 @@ func (s *Searcher) refillSweep() {
 		}
 		s.st.Add(i)
 	}
+	s.idxBuf, s.addBuf = packed[:0], added[:0]
 }
 
 // intensifyOscillation pushes the current solution across the feasibility
@@ -576,7 +601,7 @@ func (s *Searcher) diversify(p Params, best *mkp.Solution, pool *Pool) {
 	}
 	total := float64(s.moves)
 	lock := s.moves + int64(p.DiverLock)
-	var forced []int
+	forced := s.forcedBuf[:0]
 	for j := 0; j < s.ins.N; j++ {
 		if s.core != nil && !s.core.Free(j) {
 			continue // fixed items are not diversification material
@@ -592,6 +617,7 @@ func (s *Searcher) diversify(p Params, best *mkp.Solution, pool *Pool) {
 			forced = append(forced, j)
 		}
 	}
+	s.forcedBuf = forced[:0]
 	s.repairKeeping(forced)
 	s.fill()
 	s.adopt(best, pool)
@@ -612,33 +638,35 @@ func (s *Searcher) repairKeeping(keep []int) {
 	if s.st.Feasible() {
 		return
 	}
-	locked := make(map[int]bool, len(keep))
-	for _, j := range keep {
-		locked[j] = true
-	}
-	if s.core != nil {
-		for _, j := range s.core.Keep {
-			locked[j] = true
-		}
-	}
-	packed := s.st.X.Indices(nil)
+	s.markLocked(keep, true)
+	packed := s.st.X.Indices(s.idxBuf[:0])
 	sort.SliceStable(packed, func(a, b int) bool {
 		return s.ins.BurdenRatio(packed[a]) > s.ins.BurdenRatio(packed[b])
 	})
-	for _, j := range packed {
-		if s.st.Feasible() {
-			return
-		}
-		if !locked[j] {
-			s.st.Drop(j)
+	// The first pass drops unlocked items, the second locked ones.
+	for pass := 0; pass < 2; pass++ {
+		for _, j := range packed {
+			if s.st.Feasible() {
+				break
+			}
+			if s.locked[j] == (pass == 1) && s.st.X.Get(j) {
+				s.st.Drop(j)
+			}
 		}
 	}
-	for _, j := range packed {
-		if s.st.Feasible() {
-			return
-		}
-		if locked[j] && s.st.X.Get(j) {
-			s.st.Drop(j)
+	s.markLocked(keep, false)
+	s.idxBuf = packed[:0]
+}
+
+// markLocked sets repairKeeping's marks for keep and the core's fixed-in
+// items to v.
+func (s *Searcher) markLocked(keep []int, v bool) {
+	for _, j := range keep {
+		s.locked[j] = v
+	}
+	if s.core != nil {
+		for _, j := range s.core.Keep {
+			s.locked[j] = v
 		}
 	}
 }
@@ -677,10 +705,21 @@ func (s *Searcher) adoptCore(c *Core) {
 	s.core = c
 	if c == nil {
 		s.order, s.orderSuf = s.rank, s.sufMin
-		return
+	} else {
+		s.order = c.Order
+		s.orderSuf = mkp.SuffixMinWeight(s.ins, c.Order)
 	}
-	s.order = c.Order
-	s.orderSuf = mkp.SuffixMinWeight(s.ins, c.Order)
+	s.indexOrder()
+}
+
+// indexOrder rebuilds pos from the current scan order.
+func (s *Searcher) indexOrder() {
+	for j := range s.pos {
+		s.pos[j] = -1
+	}
+	for k, j := range s.order {
+		s.pos[j] = int32(k)
+	}
 }
 
 // applyCore projects the freshly loaded start onto the core: items fixed at
