@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race check bench kernel solverbench bench-guard perfbench-test chaos chaos-wire chaos-smoke metrics metrics-smoke crash-resume transport worker-smoke serve-smoke elastic elastic-smoke portfolio-smoke
+.PHONY: build vet test race check loc bench kernel solverbench bench-guard perfbench-test chaos chaos-wire chaos-smoke metrics metrics-smoke crash-resume transport worker-smoke serve-smoke elastic elastic-smoke portfolio-smoke
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,14 @@ race:
 # check is the CI gate: compile everything, vet, race-test, then a short
 # kernel benchmark smoke so evaluator regressions fail loudly.
 check: build vet race bench
+
+# loc prints the root module's non-test Go line count per package directory,
+# then in total — the size measure design changes are judged by. perfbench/
+# is a module of its own and is left out.
+LOC_FILES = find . -path ./perfbench -prune -o -name '*.go' ! -name '*_test.go' -print
+loc:
+	@$(LOC_FILES) | xargs wc -l | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1 } END { for (d in n) printf "%7d %s\n", n[d], d }' | sort -k2
+	@printf '%7d total\n' "$$($(LOC_FILES) | xargs cat | wc -l)"
 
 # bench runs the kernel microbenchmarks a fixed small number of iterations —
 # a smoke that they still compile and run, not a timing-quality measurement.

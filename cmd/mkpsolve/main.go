@@ -70,7 +70,7 @@ func run() int {
 		solOut   = flag.String("sol", "", "write the best solution to this file (verify with mkpverify)")
 		ckptOut  = flag.String("checkpoint", "", "durable checkpoint base path: every round is written crash-safely as BASE.<generation> (atomic rename, checksummed, last -ckpt-keep kept)")
 		ckptKeep = flag.Int("ckpt-keep", 3, "checkpoint generations to retain at the -checkpoint base path")
-		resume   = flag.String("resume", "", "resume from a checkpoint base path (newest uncorrupted generation wins) or a plain checkpoint file")
+		resume   = flag.String("resume", "", "resume from a -checkpoint base path (newest uncorrupted generation wins)")
 
 		maxRestarts = flag.Int("maxrestarts", 0, "arm the self-healing supervisor: per-slave restart budget (0 = supervision off)")
 		backoff     = flag.Duration("backoff", 0, "supervisor: base restart backoff, doubled per death and capped at 5s (0 = default 100ms)")
@@ -278,20 +278,18 @@ func run() int {
 	}()
 	opts.Stop = stop
 
-	var res *core.Result
-	if *elastic != "" {
-		eng, err := core.NewEngine(ins, algo, opts)
-		if err != nil {
-			return fail(err)
-		}
-		defer eng.Close()
-		// The elastic smoke harness parses this line to discover the
-		// ephemeral fleet port; keep its shape stable.
-		fmt.Fprintf(os.Stderr, "mkpsolve: fleet listening on %s\n", eng.FleetAddr())
-		if res, err = eng.Run(); err != nil {
-			return fail(err)
-		}
-	} else if res, err = core.Solve(ins, algo, opts); err != nil {
+	eng, err := core.NewEngine(ins, algo, opts)
+	if err != nil {
+		return fail(err)
+	}
+	defer eng.Close()
+	// The elastic and chaos smoke harnesses parse this line to discover the
+	// ephemeral fleet port; keep its shape stable.
+	if addr := eng.FleetAddr(); addr != "" {
+		fmt.Fprintf(os.Stderr, "mkpsolve: fleet listening on %s\n", addr)
+	}
+	res, err := eng.Run()
+	if err != nil {
 		return fail(err)
 	}
 	report(ins, algo.String(), res, *quiet)
@@ -314,33 +312,22 @@ func run() int {
 	return 0
 }
 
-// loadResume restores a checkpoint from a durable store base path (newest
-// uncorrupted generation, corrupt ones quarantined) or, failing that, from a
-// legacy plain JSON checkpoint file at the same path.
+// loadResume restores a checkpoint from a durable store base path: the
+// newest uncorrupted generation wins, corrupt ones are quarantined.
 func loadResume(path string) (*core.Checkpoint, string, error) {
-	if store, err := ckptstore.Open(path); err == nil {
-		payload, seq, err := store.Load()
-		if err == nil {
-			cp, err := core.LoadCheckpoint(bytes.NewReader(payload))
-			if err != nil {
-				return nil, "", err
-			}
-			return cp, fmt.Sprintf("%d", seq), nil
-		}
-		if !errors.Is(err, ckptstore.ErrNoCheckpoint) {
-			return nil, "", err
-		}
-	}
-	f, err := os.Open(path)
+	store, err := ckptstore.Open(path)
 	if err != nil {
 		return nil, "", err
 	}
-	defer f.Close()
-	cp, err := core.LoadCheckpoint(f)
+	payload, seq, err := store.Load()
 	if err != nil {
 		return nil, "", err
 	}
-	return cp, "file", nil
+	cp, err := core.LoadCheckpoint(bytes.NewReader(payload))
+	if err != nil {
+		return nil, "", err
+	}
+	return cp, fmt.Sprintf("%d", seq), nil
 }
 
 // reportMetrics prints the end-of-run telemetry summary: the per-slave

@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -173,6 +174,11 @@ func forgeWorker(t *testing.T, addr string) {
 		return
 	}
 	defer s.Close()
+	forge(s, hello)
+}
+
+// forge serves a forger's session until its connection ends.
+func forge(s *wire.Session, hello proto.Hello) {
 	for {
 		msg := s.Recv(hello.Node)
 		if msg.Tag == proto.TagStop {
@@ -275,5 +281,63 @@ func TestChaosOptionValidation(t *testing.T) {
 		Chaos: &chaosnet.Plan{CorruptRate: 2},
 	}); err == nil {
 		t.Error("malformed chaos plan accepted")
+	}
+}
+
+// TestChaosRosterQuarantineEvicts: quarantine evicts a forging worker of a
+// dialed Workers roster as it does an elastic member. The slot lands in the
+// leave ledger, and the worker's connection is closed as soon as it is
+// quarantined, not left open until the run's shutdown.
+func TestChaosRosterQuarantineEvicts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("forger run pays redispatch waits")
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	evicted := make(chan struct{})
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		s, hello, err := wire.Accept(c, nil)
+		if err != nil {
+			return
+		}
+		forge(s, hello)
+		close(evicted)
+	}()
+
+	ins := testInstance(50, 5, 606)
+	e, err := NewEngine(ins, CTS2, Options{
+		P: 4, Seed: 44, Rounds: 5, RoundMoves: 300,
+		SlaveTimeout: 2 * time.Second,
+		Workers:      append(startStaticWorkers(t, 3), ln.Addr().String()),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	res, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Quarantines != 1 || res.Stats.DeadSlaves != 0 || res.Stats.Leaves != 0 {
+		t.Fatalf("quarantines=%d dead=%d leaves=%d, want 1/0/0",
+			res.Stats.Quarantines, res.Stats.DeadSlaves, res.Stats.Leaves)
+	}
+	if res.Best.Value >= 1e12 || mkp.ValueOf(ins, res.Best.X) != res.Best.Value {
+		t.Fatal("a forged value was folded into the best")
+	}
+	// The run is over but the engine is not closed: only the eviction can
+	// have ended the forger's session.
+	select {
+	case <-evicted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("quarantined roster worker still connected")
 	}
 }

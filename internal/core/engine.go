@@ -32,7 +32,8 @@ type Engine struct {
 }
 
 // NewEngine validates the problem and options and builds the full engine:
-// transport (in-process farm or TCP dials to Options.Workers), seeded initial
+// transport (in-process farm, or a wire fleet dialed from Options.Workers or
+// listening per Options.Elastic), seeded initial
 // state, launched slaves, and the restored checkpoint when Options.Resume is
 // set. On error nothing is left running. The caller must Close the engine.
 func NewEngine(ins *mkp.Instance, algo Algorithm, opts Options) (*Engine, error) {
@@ -71,45 +72,38 @@ func NewEngine(ins *mkp.Instance, algo Algorithm, opts Options) (*Engine, error)
 		if err := opts.Chaos.Validate(); err != nil {
 			return nil, err
 		}
-		if len(opts.Workers) == 0 && opts.Elastic == nil {
+	}
+	// Both wire admission paths run the slaves as remote processes on a
+	// wire.Fleet: the in-process substrate owns fault injection, supervised
+	// respawn and simulated latency, and the wire codec does not ship a core.
+	sub := ""
+	if len(opts.Workers) > 0 {
+		sub = "Workers"
+	} else if opts.Elastic != nil {
+		sub = "Elastic"
+	}
+	switch {
+	case sub == "":
+		if opts.Chaos != nil {
 			return nil, fmt.Errorf("core: Chaos requires Workers or Elastic (chaosnet wraps real TCP connections; use Faults for the in-process substrate)")
 		}
+	case opts.Faults != nil:
+		return nil, fmt.Errorf("core: %s and Faults are mutually exclusive (fault injection is an in-process substrate feature; Chaos is its wire mirror)", sub)
+	case opts.Supervise != nil:
+		return nil, fmt.Errorf("core: %s and Supervise are mutually exclusive (respawn needs in-process slaves)", sub)
+	case opts.Latency != 0:
+		return nil, fmt.Errorf("core: %s and Latency are mutually exclusive (real links have real latency)", sub)
+	case opts.Guide != nil:
+		return nil, fmt.Errorf("core: %s and Guide are mutually exclusive (a core is process-local guidance the wire codec does not ship)", sub)
 	}
-	if len(opts.Workers) > 0 {
-		// The in-process substrate owns fault injection, supervision revival
-		// and simulated latency; none of them is meaningful against real
-		// remote processes.
-		if opts.Faults != nil {
-			return nil, fmt.Errorf("core: Workers and Faults are mutually exclusive (fault injection is an in-process substrate feature)")
-		}
-		if opts.Supervise != nil {
-			return nil, fmt.Errorf("core: Workers and Supervise are mutually exclusive (respawn needs in-process slaves)")
-		}
-		if opts.Latency != 0 {
-			return nil, fmt.Errorf("core: Workers and Latency are mutually exclusive (real links have real latency)")
-		}
-		if opts.P != len(opts.Workers) {
-			return nil, fmt.Errorf("core: P=%d but %d worker addresses given", opts.P, len(opts.Workers))
-		}
-		if opts.Guide != nil {
-			return nil, fmt.Errorf("core: Workers and Guide are mutually exclusive (a core is process-local guidance the wire codec does not ship)")
-		}
+	if len(opts.Workers) > 0 && opts.P != len(opts.Workers) {
+		return nil, fmt.Errorf("core: P=%d but %d worker addresses given", opts.P, len(opts.Workers))
 	}
 	if opts.Elastic != nil {
-		// The elastic fleet is its own membership regime: P is the DESIRED
-		// size, not a fixed roster, which conflicts with every option that
-		// assumes a roster fixed at build time.
+		// P is the DESIRED size of an elastic fleet, not a fixed roster.
 		switch {
 		case len(opts.Workers) > 0:
 			return nil, fmt.Errorf("core: Elastic and Workers are mutually exclusive (an elastic fleet is joined, not dialed)")
-		case opts.Faults != nil:
-			return nil, fmt.Errorf("core: Elastic and Faults are mutually exclusive (fault injection is an in-process substrate feature)")
-		case opts.Supervise != nil:
-			return nil, fmt.Errorf("core: Elastic and Supervise are mutually exclusive (the reconciler owns fleet healing)")
-		case opts.Latency != 0:
-			return nil, fmt.Errorf("core: Elastic and Latency are mutually exclusive (real links have real latency)")
-		case opts.Guide != nil:
-			return nil, fmt.Errorf("core: Elastic and Guide are mutually exclusive (a core is process-local guidance the wire codec does not ship)")
 		case opts.Resume != nil:
 			return nil, fmt.Errorf("core: Elastic and Resume are mutually exclusive (a checkpoint pins a roster the fleet cannot promise)")
 		case opts.Elastic.Min > opts.P:
@@ -150,8 +144,9 @@ func (e *Engine) Run() (*Result, error) {
 }
 
 // FleetAddr returns the listen address of the engine's elastic fleet ("" for
-// non-elastic engines). With Elastic.Listen ":0" this is how a host learns
-// the bound port to hand to joining workers.
+// an in-process farm or a dialed Workers roster, which listen on nothing).
+// With Elastic.Listen ":0" this is how a host learns the bound port to hand
+// to joining workers.
 func (e *Engine) FleetAddr() string {
 	if e.m.fleet == nil {
 		return ""

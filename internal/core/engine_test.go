@@ -1,10 +1,15 @@
 package core
 
 import (
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/supervise"
+	"repro/internal/transport/chaosnet"
+	"repro/internal/transport/inproc"
 )
 
 // soloRun executes one seeded run alone and returns its result and the
@@ -135,5 +140,52 @@ func TestEngineRejectsBadInputAtBuild(t *testing.T) {
 	good := testInstance(10, 2, 1)
 	if _, err := NewEngine(good, Algorithm(9), Options{}); err == nil {
 		t.Fatal("unknown algorithm accepted")
+	}
+}
+
+// TestOptionExclusions is the table of every option combination NewEngine
+// rejects around the wire substrate: each exclusion on both wire admission
+// paths (a dialed Workers roster and a listening Elastic fleet), each path's
+// own rules, and the Chaos admission rules. Each row names a fragment of the
+// expected error, so a row that slipped past validation and failed later, at
+// the dial, reads as a failure rather than a pass.
+func TestOptionExclusions(t *testing.T) {
+	ins := testInstance(20, 2, 8)
+	roster := []string{"127.0.0.1:1"}
+	el := &ElasticConfig{Listen: "127.0.0.1:0"}
+	faults := &inproc.FaultPlan{Seed: 1}
+	sup := &supervise.Policy{MaxRestarts: 1}
+	cases := []struct {
+		name string
+		opts Options
+		want string
+	}{
+		{"workers+faults", Options{P: 1, Workers: roster, Faults: faults}, "Faults"},
+		{"workers+supervise", Options{P: 1, Workers: roster, Supervise: sup}, "Supervise"},
+		{"workers+latency", Options{P: 1, Workers: roster, Latency: time.Millisecond}, "Latency"},
+		{"workers+guide", Options{Workers: []string{"127.0.0.1:1", "127.0.0.1:2"}, Guide: &GuideConfig{}}, "Guide"},
+		{"workers p!=len", Options{P: 2, Workers: roster}, "worker addresses"},
+		{"elastic+faults", Options{P: 1, Elastic: el, Faults: faults}, "Faults"},
+		{"elastic+supervise", Options{P: 1, Elastic: el, Supervise: sup}, "Supervise"},
+		{"elastic+latency", Options{P: 1, Elastic: el, Latency: time.Millisecond}, "Latency"},
+		{"elastic+guide", Options{P: 1, Elastic: el, Guide: &GuideConfig{}}, "Guide"},
+		{"elastic+workers", Options{P: 1, Elastic: el, Workers: roster}, "Workers"},
+		{"elastic+resume", Options{P: 1, Elastic: el, Resume: &Checkpoint{}}, "Resume"},
+		{"elastic min>p", Options{P: 2, Elastic: &ElasticConfig{Listen: "127.0.0.1:0", Min: 3}}, "Min"},
+		{"chaos without wire", Options{P: 2, Chaos: &chaosnet.Plan{Seed: 1}}, "Chaos"},
+		{"malformed chaos plan", Options{P: 1, Workers: roster, Chaos: &chaosnet.Plan{CorruptRate: 2}}, "CorruptRate"},
+	}
+	for _, tc := range cases {
+		tc.opts.Rounds = 1
+		tc.opts.DialTimeout = 100 * time.Millisecond
+		e, err := NewEngine(ins, CTS2, tc.opts)
+		if err == nil {
+			e.Close()
+			t.Errorf("%s: accepted", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: rejected for another reason than %q: %v", tc.name, tc.want, err)
+		}
 	}
 }

@@ -62,13 +62,9 @@ type master struct {
 	heal  *healer     // nil unless opts.Supervise is set
 	guide *guide      // nil unless opts.Guide is set
 	rec   *reconciler // nil unless opts.Elastic is set
-	fleet *wire.Fleet // nil unless opts.Elastic is set
+	fleet *wire.Fleet // nil unless the slaves are remote (Workers or Elastic)
 
-	// deadlineDriven forces the deadline-driven collector even without faults
-	// or supervision: a remote worker's death only ever manifests as silence,
-	// so wire-mode runs cannot use the plain blocking rendezvous.
-	deadlineDriven bool
-	lastErr        error
+	lastErr error
 
 	best  mkp.Solution
 	stats Stats
@@ -155,63 +151,46 @@ func newMaster(ins *mkp.Instance, algo Algorithm, opts Options) (*master, error)
 		seeds[i] = root.Split().Uint64()
 	}
 
-	// The chaos injector wraps every worker connection beneath the frame
-	// codec, so injected partitions, resets, stalls and corruption exercise
-	// exactly the recovery machinery a flaky real network would. An inert
-	// plan wraps too, but draws nothing and sleeps nowhere.
-	var chaos *chaosnet.Chaos
-	if opts.Chaos != nil {
-		c, err := chaosnet.New(*opts.Chaos)
-		if err != nil {
-			return nil, err
-		}
-		chaos = c
-	}
-
 	var net transport.Transport
 	var fleet *wire.Fleet
-	if opts.Elastic != nil {
-		// Elastic fleet: the master listens and workers dial in whenever they
-		// like. Seeds for the first P node ids are the pre-split block above —
-		// the same values, in the same stream positions, a static run hands
-		// its workers — so a never-churning fleet is value-equivalent to the
-		// static run; ids beyond P (late joiners after churn) get pure-function
-		// seeds that never touch the root stream.
-		seedFor := func(node int) uint64 {
+	if len(opts.Workers) > 0 || opts.Elastic != nil {
+		// A wire fleet: dialed from the Workers roster, or listening for
+		// joiners. Either way the handshake ships each worker its node id,
+		// seed and the full instance, so the processes need no problem file
+		// of their own. Seeds for node ids 1..P are the pre-split block
+		// above, so a never-churning elastic fleet is value-equivalent to
+		// the roster run; ids beyond P (late joiners after churn) get
+		// pure-function seeds that never touch the root stream.
+		fcfg := wire.FleetConfig{SeedFor: func(node int) uint64 {
 			if node >= 1 && node <= opts.P {
 				return seeds[node-1]
 			}
 			return elasticSeed(opts.Seed, node)
-		}
-		fcfg := wire.FleetConfig{SeedFor: seedFor, MaxNodes: opts.Elastic.MaxNodes}
-		if chaos != nil {
+		}}
+		// The chaos injector wraps every member connection beneath the frame
+		// codec, so injected partitions, resets, stalls and corruption
+		// exercise exactly the recovery machinery a flaky real network
+		// would. An inert plan wraps too, but draws nothing and sleeps
+		// nowhere.
+		if opts.Chaos != nil {
+			chaos, err := chaosnet.New(*opts.Chaos)
+			if err != nil {
+				return nil, err
+			}
 			fcfg.ConnWrap = chaos.Wrap
 		}
-		f, err := wire.ListenFleet(opts.Elastic.Listen, ins, fcfg, opts.Metrics)
+		var err error
+		if opts.Elastic != nil {
+			fcfg.MaxNodes = opts.Elastic.MaxNodes
+			fleet, err = wire.ListenFleet(opts.Elastic.Listen, ins, fcfg, opts.Metrics)
+		} else {
+			fleet, err = wire.Dial(opts.Workers, ins, fcfg, opts.Metrics,
+				wire.WithDialTimeout(opts.DialTimeout), wire.WithContext(opts.DialContext))
+		}
 		if err != nil {
 			return nil, err
 		}
-		fleet = f
-		net = f
-	} else if len(opts.Workers) > 0 {
-		// Remote workers: the dial handshake ships each worker its node
-		// number, seed and the full instance, so the processes need no
-		// problem file of their own.
-		var dialOpts []wire.DialOption
-		if opts.DialTimeout > 0 {
-			dialOpts = append(dialOpts, wire.WithDialTimeout(opts.DialTimeout))
-		}
-		if opts.DialContext != nil {
-			dialOpts = append(dialOpts, wire.WithContext(opts.DialContext))
-		}
-		if chaos != nil {
-			dialOpts = append(dialOpts, wire.WithConnWrapper(chaos.Wrap))
-		}
-		wnet, err := wire.Dial(opts.Workers, ins, seeds, opts.Metrics, dialOpts...)
-		if err != nil {
-			return nil, err
-		}
-		net = wnet
+		net = fleet
 	} else {
 		farmOpts := []inproc.Option{inproc.WithLatency(opts.Latency)}
 		if opts.Faults != nil {
@@ -224,14 +203,13 @@ func newMaster(ins *mkp.Instance, algo Algorithm, opts Options) (*master, error)
 	}
 
 	m := newEngine(ins, algo, opts, net, r)
-	m.deadlineDriven = len(opts.Workers) > 0 || opts.Elastic != nil
-	if fleet != nil {
+	m.fleet = fleet
+	if opts.Elastic != nil {
 		// The elastic stream is split from the root AFTER the slave-seed
 		// block, and only when elastic is armed, so arming it never shifts
 		// any other consumer's stream. Mid-run joiners draw from it;
 		// the initial cohort draws from the master stream (in assemble) in
 		// exactly the static order.
-		m.fleet = fleet
 		m.rec = &reconciler{
 			slaveTable: m.slaveTable,
 			fleet:      fleet,
@@ -305,10 +283,10 @@ func newMaster(ins *mkp.Instance, algo Algorithm, opts Options) (*master, error)
 	}
 
 	// Launch the slaves ("Read and send to slaves problem data", Fig. 2 —
-	// the instance pointer is shared read-only here). Remote workers were
+	// the instance pointer is shared read-only here). Roster workers were
 	// already handed their seed and the instance during the dial handshake;
 	// elastic workers receive theirs whenever they join.
-	if len(opts.Workers) == 0 && opts.Elastic == nil {
+	if fleet == nil {
 		for i := 0; i < opts.P; i++ {
 			go slaveLoop(net, i+1, ins, seeds[i], 0, nil)
 		}
@@ -430,7 +408,7 @@ func (m *master) run() (*Result, error) {
 		// deadline-driven collector for its watchdog observations even on a
 		// fault-free farm, and a remote worker's death is only ever silence.
 		var hadFailure bool
-		if m.opts.Faults == nil && m.heal == nil && !m.deadlineDriven {
+		if m.opts.Faults == nil && m.heal == nil && m.fleet == nil {
 			hadFailure = m.coll.collect(round, dispatched, results)
 		} else {
 			hadFailure = m.coll.collectFaulty(round, budgets, results)
@@ -626,9 +604,9 @@ func (m *master) resultRejected(node, round int, reason string) {
 // slot lands in the leave ledger (departed=true), never in DeadSlaves: the
 // departure is the master's own decision, not a crash — slaveDied's
 // alive-check and the reconciler's departed-skip keep it out of every other
-// ledger, and the supervisor never respawns a departed slot. On an elastic
-// fleet the connection is torn down as a Left member so the wire-side
-// membership state agrees with the slot table.
+// ledger, and the supervisor never respawns a departed slot. On a wire fleet,
+// roster or elastic, the connection is torn down as a Left member so the
+// wire-side membership state agrees with the slot table.
 func (m *master) quarantine(node, round int) {
 	m.alive[node] = false
 	m.departed[node] = true
@@ -675,8 +653,8 @@ func (m *master) stopRequested() bool {
 // real resources (sockets, reader goroutines) is then closed.
 func (m *master) shutdown() {
 	if m.fleet != nil {
-		// An elastic fleet's membership is dynamic: stop whoever is live now
-		// (including connected members that were never admitted to a slot).
+		// A wire fleet stops whoever is live now (on an elastic fleet that
+		// includes connected members never admitted to a slot).
 		for _, node := range m.fleet.LiveNodes() {
 			m.net.SendControl(0, node, proto.TagStop, nil, 0)
 		}

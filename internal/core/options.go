@@ -150,26 +150,28 @@ type Options struct {
 	Latency time.Duration
 	// Workers, when non-empty, lists the TCP addresses of mkpworker processes
 	// to run the slaves on instead of in-process goroutines. The master dials
-	// each address, ships it the instance and its seed during the handshake,
-	// and drives the run over the wire protocol (internal/transport/wire).
-	// P defaults to len(Workers) and must equal it when both are set. Workers
-	// is mutually exclusive with Faults, Supervise and Latency — those belong
-	// to the in-process substrate. Wire runs use the deadline-driven
-	// rendezvous (a remote death only ever manifests as silence), so they are
-	// not bitwise comparable to in-process runs; on a healthy fleet a fixed
-	// seed still reaches the identical final best value.
+	// the roster into a wire fleet (internal/transport/wire), shipping each
+	// worker the instance and its seed during the handshake, and drives the
+	// run over the wire protocol. P defaults to len(Workers) and must equal it
+	// when both are set. Workers is mutually exclusive with Faults, Supervise
+	// and Latency — those belong to the in-process substrate — and with
+	// Guide, whose core the wire codec does not ship. Wire runs use the
+	// deadline-driven rendezvous (a remote death only ever manifests as
+	// silence), so they are not bitwise comparable to in-process runs; on a
+	// healthy fleet a fixed seed still reaches the identical final best value.
 	Workers []string
 	// DialTimeout bounds the per-address connect retry loop when Workers is
-	// set (0 = the wire default, 10s). A job server multiplexing many runs
-	// sets this low so a vanished worker fails the lease fast.
+	// set, and then that worker's handshake (0 = the wire default, 10s each).
+	// A job server multiplexing many runs sets this low so a vanished or
+	// mute worker fails the lease fast.
 	DialTimeout time.Duration
 	// DialContext, when non-nil, cancels in-flight worker dials (including
-	// their backoff sleeps) when done — the seam a shutting-down server uses
+	// their backoff sleeps and handshakes) when done — the seam a shutting-down server uses
 	// so connecting to a slow worker never outlives the process. It does not
 	// govern the run itself; use Stop for that.
 	DialContext context.Context
 	// Elastic, when non-nil, runs the slaves on an elastic wire fleet: the
-	// master LISTENS (instead of dialing a fixed worker list) and workers
+	// master LISTENS (instead of dialing a Workers roster) and workers
 	// join and leave mid-run. P becomes the desired fleet size — the master
 	// admits joiners into fresh slots while live membership is below it, and
 	// never shrinks its own ambition when workers depart. Elastic runs use
@@ -177,7 +179,7 @@ type Options struct {
 	// epoch-stamped global-best gossip, graceful Leave classification (a
 	// leaver is retired, never counted dead) and work stealing (an idle
 	// worker takes over a straggler's slot mid-rendezvous). A never-churning
-	// elastic fleet reaches the same final best as the static wire run and
+	// elastic fleet reaches the same final best as the Workers roster run and
 	// the in-process run at the same seed. Mutually exclusive with Workers,
 	// Faults, Supervise, Latency, Guide and Resume.
 	Elastic *ElasticConfig
@@ -188,8 +190,9 @@ type Options struct {
 	// best improves past the fixing gap the master re-thresholds the cached
 	// relaxation and publishes a tighter core under the next epoch; when the
 	// fixing proves the incumbent optimal the run stops early with
-	// Stats.ProvenOptimal set. Guide is mutually exclusive with Workers: a
-	// Core is process-local guidance the wire codec does not serialize.
+	// Stats.ProvenOptimal set. Guide is mutually exclusive with Workers and
+	// Elastic: a Core is process-local guidance the wire codec does not
+	// serialize.
 	// A nil Guide reproduces the unguided search bit for bit.
 	Guide *GuideConfig
 	// Chaos, when non-nil, installs a deterministic network fault injector
@@ -206,7 +209,7 @@ type Options struct {
 	// QuarantineStrikes is how many revalidation failures (forged or
 	// infeasible results, malformed gossip) one worker may accumulate before
 	// the master quarantines it: the node is marked departed, excluded from
-	// dispatch and borrowing, and — on an elastic fleet — its connection is
+	// dispatch and borrowing, and — on a wire fleet — its connection is
 	// torn down via the leave ledger so it is never counted as a crash.
 	// Default 3. Honest workers never strike: the master recomputes each
 	// claimed value from the shipped bits, so only a worker whose payloads
@@ -217,23 +220,24 @@ type Options struct {
 	// crash-after-k-sends, per-node slowdown) AND arms the master's
 	// fault-tolerant rendezvous: per-round slave deadlines, re-dispatch of
 	// lost rounds to live slaves, and graceful degradation to P−k slaves.
-	// When nil the master uses the plain blocking rendezvous, so fault-free
-	// runs replay bitwise identically. Failures are counted in Stats
+	// When nil on an unsupervised in-process farm the master uses the plain
+	// blocking rendezvous, so fault-free runs replay bitwise identically. Failures are counted in Stats
 	// (SlaveFailures, Redispatches, DroppedMessages) and emitted as trace
 	// events; OnCheckpoint fires as soon as a failure is detected so a
 	// degraded run is resumable at the last good rendezvous.
 	Faults *inproc.FaultPlan
 	// SlaveTimeout caps how long the master waits at a rendezvous for a
-	// missing result before re-dispatching or degrading (only used when
-	// Faults is set). It is an upper bound: once a round has completed, the
-	// deadline adapts to the measured per-move cost scaled by the round's
+	// missing result before re-dispatching or degrading. It is used by the
+	// deadline-driven rendezvous, which runs when Faults, Supervise, Workers
+	// or Elastic is set. It is an upper bound: once a round has completed,
+	// the deadline adapts to the measured per-move cost scaled by the round's
 	// move budget, so it tracks the virtual (budget-proportional) round
 	// length rather than a fixed wall clock. Default 5s.
 	SlaveTimeout time.Duration
 	// MaxRedispatch is how many times one slot's round may be re-sent after
-	// its deadline expires before the round is abandoned for that slot
-	// (only used when Faults is set). Default 2: once to the original slave,
-	// once to a borrowed live slave.
+	// its deadline expires before the round is abandoned for that slot (used
+	// by the deadline-driven rendezvous, like SlaveTimeout). Default 2: once
+	// to the original slave, once to a borrowed live slave.
 	MaxRedispatch int
 	// Supervise, when non-nil, arms the self-healing layer on top of the
 	// fault-tolerant rendezvous: slaves declared dead are respawned at round

@@ -241,7 +241,7 @@ func (ch *Chaos) partitionRemaining(link int) time.Duration {
 }
 
 // conn is one chaos-wrapped connection. Writes are already serialized by
-// the transport (each workerConn/fleetConn holds a write mutex) and reads
+// the transport (each wire fleetConn holds a write mutex) and reads
 // come from a single reader goroutine, but wmu keeps the write-side
 // decision stream consistent even for unserialized callers.
 type conn struct {

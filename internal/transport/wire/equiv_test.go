@@ -115,6 +115,12 @@ func TestCrossTransportEquivalence(t *testing.T) {
 	if res.Stats.Messages == 0 || res.Stats.BytesSent == 0 {
 		t.Fatalf("wire run accounted no traffic: %+v", res.Stats)
 	}
+	// Exact traffic of this seeded run: 4 opening heartbeats, 16 starts and
+	// 16 results, counted once each at the master's send or read.
+	if res.Stats.Messages != 36 || res.Stats.BytesSent != 5984 {
+		t.Fatalf("wire run accounted %d messages / %d payload bytes, want 36 / 5984",
+			res.Stats.Messages, res.Stats.BytesSent)
+	}
 }
 
 // TestCrossTransportPortfolioEquivalence extends the equivalence contract to
@@ -343,8 +349,8 @@ func TestSessionStopOnMasterVanish(t *testing.T) {
 		close(exited)
 	}()
 
-	seeds := []uint64{7}
-	nw, err := wire.Dial([]string{ln.Addr().String()}, ins, seeds, nil)
+	cfg := wire.FleetConfig{SeedFor: func(int) uint64 { return 7 }}
+	nw, err := wire.Dial([]string{ln.Addr().String()}, ins, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

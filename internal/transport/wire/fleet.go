@@ -53,7 +53,7 @@ const maxFleetNodes = 250
 // stalled or hostile dialer cannot wedge the accept path.
 const joinHandshakeTimeout = 5 * time.Second
 
-// FleetConfig configures a listening fleet master.
+// FleetConfig configures a fleet master, dialed or listening.
 type FleetConfig struct {
 	// SeedFor returns the searcher seed for a node id. It must be a pure
 	// function of the node id so an admission replays deterministically.
@@ -61,17 +61,20 @@ type FleetConfig struct {
 	// MaxNodes caps assigned node ids (default maxFleetNodes, which is also
 	// the hard ceiling imposed by the one-byte frame address).
 	MaxNodes int
-	// ConnWrap, when set, interposes on every accepted connection before the
-	// join handshake, beneath the frame codec — the listen-side hook the
-	// chaosnet fault injector uses. Connections are wrapped in accept order.
+	// ConnWrap, when set, interposes on every member connection before its
+	// handshake, beneath the frame codec — the hook the chaosnet fault
+	// injector uses. Connections are wrapped in admission order: dial order
+	// for a roster (worker 0 first), accept order for joiners.
 	ConnWrap func(net.Conn) net.Conn
 }
 
-// fleetConn is one joined worker connection. Writes are serialized by mu; the
+// fleetConn is one member connection. Writes are serialized by mu; the
 // reader goroutine owns all reads. state moves Live -> Left on a Leave frame
-// and Live -> Dead on an unannounced read/write failure — the classification
-// the engine's membership bookkeeping relies on to never double-count a
-// graceful departure as a crash.
+// or an eviction and Live -> Dead on an unannounced read/write failure — the
+// classification the engine's membership bookkeeping relies on to never
+// double-count a graceful departure as a crash. Nothing revives a member:
+// the engine's redispatch/degrade path owns recovery, the transport only
+// reports silence.
 type fleetConn struct {
 	mu    sync.Mutex
 	c     net.Conn
@@ -87,25 +90,33 @@ func (fc *fleetConn) casState(o, n MemberState) bool {
 	return fc.state.CompareAndSwap(int32(o), int32(n))
 }
 
-// Fleet is the master side of the elastic wire transport. Where Net dials a
-// fixed worker list, a Fleet listens: workers dial in whenever they like,
-// open with a Join frame, and are assigned the next node id in a Hello that
-// also carries the instance, the current epoch and the live membership view.
-// Joined-but-unclaimed nodes queue until the engine admits them with
-// TakeJoins; departures are classified (Leave vs crash) per connection.
+// Fleet is the master side of the wire transport: one TCP connection per
+// member, each drained by a reader goroutine into a shared node-0 mailbox.
+// Members are admitted two ways, both through one Hello→Ready handshake that
+// assigns the next node id and ships the member its seed, the instance, the
+// current epoch and the live membership view:
 //
-// It implements transport.Transport for the engine; only node 0's receive
-// methods are usable, exactly like Net.
+//   - Dial connects to a fixed worker roster, whose workers are members
+//     1..P by the time it returns;
+//   - ListenFleet accepts joiners whenever they dial in; each opens with a
+//     Join frame, and joined-but-unclaimed nodes queue until the engine
+//     admits them with TakeJoins.
+//
+// Departures are classified (Leave vs crash) per connection. Fleet implements
+// transport.Transport for the engine; only node 0's receive methods are
+// usable (the members' mailboxes live in their own processes).
 type Fleet struct {
-	ln  net.Listener
+	ln  net.Listener // nil for a dialed roster
 	ins *mkp.Instance
 	n   int // instance size; payload codecs need it
 	cfg FleetConfig
 
 	inbox chan transport.Message
-	done  chan struct{}
-	once  sync.Once
-	wg    sync.WaitGroup
+	// life ends at Close: it cuts joiners' handshakes short and unblocks
+	// readers stuck on a full inbox.
+	life context.Context
+	end  context.CancelFunc
+	wg   sync.WaitGroup
 
 	epoch atomic.Uint64
 
@@ -113,7 +124,7 @@ type Fleet struct {
 	closed   bool
 	conns    map[int]*fleetConn
 	nextNode int
-	pending  []int         // handshaked nodes not yet claimed via TakeJoins
+	pending  []int         // joined nodes not yet claimed via TakeJoins
 	joined   chan struct{} // poked (non-blocking) on every successful join
 
 	msgs    atomic.Int64
@@ -125,9 +136,8 @@ type Fleet struct {
 	mx wireMetrics
 }
 
-// ListenFleet opens a fleet listener on addr ("host:port", port 0 for
-// ephemeral) and starts accepting joiners immediately. reg may be nil.
-func ListenFleet(addr string, ins *mkp.Instance, cfg FleetConfig, reg *metrics.Registry) (*Fleet, error) {
+// newFleet validates cfg and builds a fleet with no members.
+func newFleet(ins *mkp.Instance, cfg FleetConfig, reg *metrics.Registry) (*Fleet, error) {
 	if ins == nil {
 		return nil, fmt.Errorf("wire: fleet without instance")
 	}
@@ -137,30 +147,89 @@ func ListenFleet(addr string, ins *mkp.Instance, cfg FleetConfig, reg *metrics.R
 	if cfg.MaxNodes <= 0 || cfg.MaxNodes > maxFleetNodes {
 		cfg.MaxNodes = maxFleetNodes
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("wire: fleet listen on %s: %w", addr, err)
-	}
-	f := &Fleet{
-		ln:       ln,
+	life, end := context.WithCancel(context.Background())
+	return &Fleet{
 		ins:      ins,
 		n:        ins.N,
 		cfg:      cfg,
 		inbox:    make(chan transport.Message, 1024),
-		done:     make(chan struct{}),
+		life:     life,
+		end:      end,
 		conns:    make(map[int]*fleetConn),
 		nextNode: 1,
 		joined:   make(chan struct{}, 1),
 		links:    make(map[[2]int]int64),
 		mx:       newWireMetrics(reg),
+	}, nil
+}
+
+// Dial connects to each worker address in turn and admits it as the next
+// member, so worker i (0-based) becomes node i+1. Each address is retried
+// with exponential backoff for up to the dial timeout — extra attempts are
+// counted on wire_reconnects_total — so "start the workers, then the master"
+// does not have to race; the handshake that follows is bounded by the same
+// timeout and by the dial context. Every worker is a live member when Dial
+// returns; the fleet has no listener (Addr is "") and queues nothing for
+// TakeJoins. A failure partway down the list closes the half-built fleet,
+// leaking no goroutines or FDs.
+func Dial(addrs []string, ins *mkp.Instance, cfg FleetConfig, reg *metrics.Registry, opts ...DialOption) (*Fleet, error) {
+	if len(addrs) == 0 {
+		return nil, fmt.Errorf("wire: no worker addresses")
+	}
+	dc := newDialConfig(opts)
+	f, err := newFleet(ins, cfg, reg)
+	if err != nil {
+		return nil, err
+	}
+	members := make([]*fleetConn, 0, len(addrs))
+	for i, addr := range addrs {
+		c, err := dialRetry(dc, addr, f.mx)
+		if err != nil {
+			f.Close()
+			return nil, fmt.Errorf("wire: worker %d at %s: %w", i+1, addr, err)
+		}
+		fc, err := f.admit(dc.ctx, c, false, dc.timeout)
+		if cerr := dc.ctx.Err(); cerr != nil {
+			err = fmt.Errorf("canceled: %w", cerr)
+		}
+		if err != nil {
+			f.Close()
+			return nil, fmt.Errorf("wire: handshake with worker %d at %s: %w", i+1, addr, err)
+		}
+		members = append(members, fc)
+	}
+	// Readers start once every handshake is done, so none of them competes
+	// for a CPU with the handshakes still to come.
+	for _, fc := range members {
+		f.wg.Add(1)
+		go func() { defer f.wg.Done(); f.reader(fc) }()
+	}
+	return f, nil
+}
+
+// ListenFleet opens a fleet listener on addr ("host:port", port 0 for
+// ephemeral) and starts accepting joiners immediately. reg may be nil.
+func ListenFleet(addr string, ins *mkp.Instance, cfg FleetConfig, reg *metrics.Registry) (*Fleet, error) {
+	f, err := newFleet(ins, cfg, reg)
+	if err != nil {
+		return nil, err
+	}
+	if f.ln, err = net.Listen("tcp", addr); err != nil {
+		return nil, fmt.Errorf("wire: fleet listen on %s: %w", addr, err)
 	}
 	f.wg.Add(1)
 	go f.acceptLoop()
 	return f, nil
 }
 
-// Addr returns the listener's address, for workers to dial.
-func (f *Fleet) Addr() string { return f.ln.Addr().String() }
+// Addr returns the listener's address, for workers to dial ("" for a dialed
+// roster).
+func (f *Fleet) Addr() string {
+	if f.ln == nil {
+		return ""
+	}
+	return f.ln.Addr().String()
+}
 
 func (f *Fleet) acceptLoop() {
 	defer f.wg.Done()
@@ -170,82 +239,107 @@ func (f *Fleet) acceptLoop() {
 			return // listener closed
 		}
 		f.wg.Add(1)
-		go func() { defer f.wg.Done(); f.admit(c) }()
+		go func() {
+			defer f.wg.Done()
+			if fc, err := f.admit(f.life, c, true, joinHandshakeTimeout); err == nil {
+				f.reader(fc)
+			}
+		}()
 	}
 }
 
-// admit runs the join handshake on a fresh connection and, on success, stays
-// on as its reader. Any handshake failure just drops the connection: a
-// joiner that never completed Ready was never a member.
-func (f *Fleet) admit(c net.Conn) {
+// admit makes c a member: it wraps the connection, runs the handshake under
+// a deadline of timeout, and registers the member live — queued for
+// TakeJoins when it joined. ctx cuts the handshake short by closing the
+// connection: the dial context for a roster worker, the fleet's own life for
+// a joiner. Any failure closes the connection: a peer that never answered
+// Ready was never a member.
+func (f *Fleet) admit(ctx context.Context, c net.Conn, joiner bool, timeout time.Duration) (*fleetConn, error) {
 	if f.cfg.ConnWrap != nil {
 		c = f.cfg.ConnWrap(c)
 	}
-	c.SetDeadline(time.Now().Add(joinHandshakeTimeout))
-	br := bufio.NewReader(c)
-	kind, _, _, payload, err := readFrame(br)
-	if err != nil || kind != kindJoin {
-		c.Close()
-		return
+	stop := context.AfterFunc(ctx, func() { c.Close() })
+	fc, err := f.handshake(c, joiner, timeout)
+	stop()
+	f.mu.Lock()
+	if err == nil && f.closed {
+		err = fmt.Errorf("wire: fleet closed")
 	}
-	decoded, err := proto.DecodePayload(proto.TagJoin, payload, f.n)
+	if err == nil {
+		f.conns[fc.node] = fc
+		if joiner {
+			f.pending = append(f.pending, fc.node)
+		}
+	}
+	f.mu.Unlock()
 	if err != nil {
 		c.Close()
-		return
+		return nil, err
 	}
-	join := decoded.(proto.Join)
+	if joiner {
+		select {
+		case f.joined <- struct{}{}:
+		default:
+		}
+	}
+	return fc, nil
+}
+
+// handshake reads a joiner's Join (naming it), assigns the next node id,
+// sends the Hello and waits for the worker's Ready.
+func (f *Fleet) handshake(c net.Conn, joiner bool, timeout time.Duration) (*fleetConn, error) {
+	c.SetDeadline(time.Now().Add(timeout))
+	fc := &fleetConn{c: c, br: bufio.NewReader(c)}
+	if joiner {
+		kind, _, _, payload, err := readFrame(fc.br)
+		if err == nil && kind != kindJoin {
+			err = fmt.Errorf("wire: expected join frame, got kind %d", kind)
+		}
+		if err != nil {
+			return nil, err
+		}
+		join, err := proto.DecodePayload(proto.TagJoin, payload, f.n)
+		if err != nil {
+			return nil, err
+		}
+		fc.name = join.(proto.Join).Name
+	}
 
 	f.mu.Lock()
-	if f.closed || f.nextNode > f.cfg.MaxNodes {
+	if f.nextNode > f.cfg.MaxNodes {
 		f.mu.Unlock()
-		c.Close()
-		return
+		return nil, fmt.Errorf("wire: all %d node ids are assigned", f.cfg.MaxNodes)
 	}
-	node := f.nextNode
+	fc.node = f.nextNode
 	f.nextNode++
 	members := f.liveLocked()
 	f.mu.Unlock()
 
 	hello, err := proto.EncodeHello(proto.Hello{
-		Node:    node,
-		Seed:    f.cfg.SeedFor(node),
+		Node:    fc.node,
+		Seed:    f.cfg.SeedFor(fc.node),
 		Ins:     f.ins,
 		Epoch:   f.epoch.Load(),
 		Members: members,
 	})
 	if err != nil {
-		c.Close()
-		return
+		return nil, err
 	}
-	if err := writeFrame(c, kindHello, 0, byte(node), hello); err != nil {
-		c.Close()
-		return
+	if err := writeFrame(c, kindHello, 0, byte(fc.node), hello); err != nil {
+		return nil, err
 	}
 	f.account(headerLen + len(hello))
-	kind, _, _, _, err = readFrame(br)
-	if err != nil || kind != kindReady {
-		c.Close()
-		return
+	kind, _, _, _, err := readFrame(fc.br)
+	if err == nil && kind != kindReady {
+		err = fmt.Errorf("wire: expected ready frame, got kind %d", kind)
+	}
+	if err != nil {
+		return nil, err
 	}
 	f.account(headerLen)
 	c.SetDeadline(time.Time{})
-
-	fc := &fleetConn{c: c, br: br, node: node, name: join.Name}
 	fc.setState(MemberLive)
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		c.Close()
-		return
-	}
-	f.conns[node] = fc
-	f.pending = append(f.pending, node)
-	f.mu.Unlock()
-	select {
-	case f.joined <- struct{}{}:
-	default:
-	}
-	f.reader(fc)
+	return fc, nil
 }
 
 // reader drains one member's connection into the node-0 mailbox until the
@@ -253,42 +347,23 @@ func (f *Fleet) admit(c net.Conn) {
 // forwarded, so the EOF that follows is classified as an announced departure;
 // any other read error on a live member is a crash (MemberDead). This is the
 // classification that keeps a graceful Leave out of the DeadSlaves ledger.
+// Messages are attributed to the connection's node, never to the sender the
+// frame header claims.
 func (f *Fleet) reader(fc *fleetConn) {
 	for {
-		kind, _, _, payload, err := readFrame(fc.br)
+		msg, err := readMessage(fc.br, f.n, f.mx)
 		if err != nil {
-			if isFrameError(err) {
-				f.mx.frameErrors.Inc()
-			}
 			fc.casState(MemberLive, MemberDead)
 			return
 		}
-		tag, err := tagOf(kind)
-		if err != nil {
-			f.mx.frameErrors.Inc()
-			fc.casState(MemberLive, MemberDead)
-			return
-		}
-		began := time.Now()
-		decoded, err := proto.DecodePayload(tag, payload, f.n)
-		if err != nil {
-			f.mx.frameErrors.Inc()
-			fc.casState(MemberLive, MemberDead)
-			return
-		}
-		f.mx.decodeDur.Observe(time.Since(began).Seconds())
-		if tag == proto.TagLeave {
+		if msg.Tag == proto.TagLeave {
 			fc.setState(MemberLeft)
 		}
-		f.account(headerLen + len(payload))
-		f.msgs.Add(1)
-		f.bytes.Add(int64(len(payload)))
-		f.linkMu.Lock()
-		f.links[[2]int{fc.node, 0}]++
-		f.linkMu.Unlock()
+		msg.From, msg.To = fc.node, 0
+		f.count(fc.node, 0, msg.Size)
 		select {
-		case f.inbox <- transport.Message{From: fc.node, To: 0, Tag: tag, Payload: decoded, Size: len(payload)}:
-		case <-f.done:
+		case f.inbox <- msg:
+		case <-f.life.Done():
 			return
 		}
 	}
@@ -297,6 +372,16 @@ func (f *Fleet) reader(fc *fleetConn) {
 func (f *Fleet) account(frameBytes int) {
 	f.mx.frames.Inc()
 	f.mx.bytes.Add(int64(frameBytes))
+}
+
+// count records one message of the given payload size on the from->to link.
+func (f *Fleet) count(from, to, payloadBytes int) {
+	f.account(headerLen + payloadBytes)
+	f.msgs.Add(1)
+	f.bytes.Add(int64(payloadBytes))
+	f.linkMu.Lock()
+	f.links[[2]int{from, to}]++
+	f.linkMu.Unlock()
 }
 
 // liveLocked returns the sorted live membership; caller holds f.mu.
@@ -371,7 +456,7 @@ func (f *Fleet) WaitJoins(ctx context.Context, min int, timeout time.Duration) b
 			return false
 		case <-ctx.Done():
 			return false
-		case <-f.done:
+		case <-f.life.Done():
 			return false
 		}
 	}
@@ -392,9 +477,12 @@ func (f *Fleet) Nodes() int {
 	return f.nextNode
 }
 
-// Send encodes the payload and writes one frame to member `to`. Sends to
-// unknown, left or dead members are swallowed and counted as dropped, exactly
-// like Net's sends to dead workers.
+// Send encodes the payload and writes one frame to member `to`. A send to an
+// unknown, left or dead member is swallowed and counted as dropped — exactly
+// what the sender of a datagram to a dead host observes; the engine's
+// rendezvous deadline, not the transport, detects the loss. size is ignored
+// for byte accounting (the real encoded length is known here), kept for
+// interface parity with the in-process substrate.
 func (f *Fleet) Send(from, to int, tag string, payload any, size int) error {
 	f.mu.Lock()
 	fc := f.conns[to]
@@ -404,18 +492,12 @@ func (f *Fleet) Send(from, to int, tag string, payload any, size int) error {
 		f.mx.dropped.Inc()
 		return nil
 	}
-	began := time.Now()
-	data, err := proto.EncodePayload(tag, payload, f.n)
-	if err != nil {
-		return err
-	}
-	f.mx.encodeDur.Observe(time.Since(began).Seconds())
-	kind, err := kindOf(tag)
+	frame, err := encodeMessage(from, to, tag, payload, f.n, f.mx)
 	if err != nil {
 		return err
 	}
 	fc.mu.Lock()
-	err = writeFrame(fc.c, kind, byte(from), byte(to), data)
+	_, err = fc.c.Write(frame)
 	fc.mu.Unlock()
 	if err != nil {
 		fc.casState(MemberLive, MemberDead)
@@ -423,12 +505,7 @@ func (f *Fleet) Send(from, to int, tag string, payload any, size int) error {
 		f.mx.dropped.Inc()
 		return nil
 	}
-	f.account(headerLen + len(data))
-	f.msgs.Add(1)
-	f.bytes.Add(int64(len(data)))
-	f.linkMu.Lock()
-	f.links[[2]int{from, to}]++
-	f.linkMu.Unlock()
+	f.count(from, to, len(frame)-headerLen)
 	return nil
 }
 
@@ -507,7 +584,9 @@ func (f *Fleet) Evict(node int) bool {
 // admission of fresh joiners, not resurrection.
 func (f *Fleet) Revive(node int) int { return 0 }
 
-// Stats returns a snapshot of the traffic counters.
+// Stats returns a snapshot of the traffic counters. Bytes counts encoded
+// payload bytes in both directions (frame headers are only in
+// wire_bytes_total).
 func (f *Fleet) Stats() transport.Stats {
 	f.linkMu.Lock()
 	defer f.linkMu.Unlock()
@@ -524,10 +603,10 @@ func (f *Fleet) Stats() transport.Stats {
 	}
 }
 
-// Close stops accepting, tears down every member connection and waits for
-// the readers to exit. Safe to call more than once.
+// Close stops admitting, cuts short every handshake in progress, tears down
+// every member connection and waits for the readers to exit. Safe to call on
+// a half-built fleet (failed Dial) and more than once.
 func (f *Fleet) Close() error {
-	f.once.Do(func() { close(f.done) })
 	f.mu.Lock()
 	f.closed = true
 	conns := make([]*fleetConn, 0, len(f.conns))
@@ -535,77 +614,15 @@ func (f *Fleet) Close() error {
 		conns = append(conns, fc)
 	}
 	f.mu.Unlock()
-	f.ln.Close()
+	f.end()
+	if f.ln != nil {
+		f.ln.Close()
+	}
 	for _, fc := range conns {
 		fc.c.Close()
 	}
 	f.wg.Wait()
 	return nil
-}
-
-// JoinFleet is the worker side of the elastic handshake: dial the fleet
-// master (with the same retry/backoff and DialOptions as Dial), send a Join
-// carrying a free-form name, receive the Hello assigning this worker its
-// node id, seed, instance, epoch and membership view, answer Ready, and
-// publish the initial zero-moves heartbeat. The returned Session is the
-// worker's transport, same as Accept's.
-//
-// WithContext cancels the whole join — backoff sleeps *and* the handshake
-// itself: a cancellation mid-handshake closes the connection so the
-// blocking frame reads unwind promptly, leaking neither the FD nor this
-// goroutine.
-func JoinFleet(addr, name string, reg *metrics.Registry, opts ...DialOption) (*Session, proto.Hello, error) {
-	cfg := dialConfig{timeout: defaultDialTimeout, ctx: context.Background()}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	mx := newWireMetrics(reg)
-	c, err := dialRetry(cfg, addr, mx)
-	if err != nil {
-		return nil, proto.Hello{}, fmt.Errorf("wire: joining fleet at %s: %w", addr, err)
-	}
-	// From here the context cancels the handshake by closing the conn; the
-	// hook is released on every exit path, so a completed join's session is
-	// no longer tied to the join context.
-	stop := context.AfterFunc(cfg.ctx, func() { c.Close() })
-	defer stop()
-	fail := func(step string, err error) (*Session, proto.Hello, error) {
-		c.Close()
-		if cerr := cfg.ctx.Err(); cerr != nil {
-			return nil, proto.Hello{}, fmt.Errorf("wire: join with %s canceled while %s: %w", addr, step, cerr)
-		}
-		return nil, proto.Hello{}, fmt.Errorf("wire: %s: %w", step, err)
-	}
-	c.SetDeadline(time.Now().Add(cfg.timeout))
-	join, err := proto.EncodePayload(proto.TagJoin, proto.Join{Name: name}, 0)
-	if err != nil {
-		return fail("encoding join", err)
-	}
-	if err := writeFrame(c, kindJoin, 0, 0, join); err != nil {
-		return fail("sending join", err)
-	}
-	br := bufio.NewReader(c)
-	kind, _, _, payload, err := readFrame(br)
-	if err != nil {
-		return fail("reading hello", err)
-	}
-	if kind != kindHello {
-		return fail("reading hello", fmt.Errorf("expected hello frame, got kind %d", kind))
-	}
-	hello, err := proto.DecodeHello(payload)
-	if err != nil {
-		return fail("decoding hello", err)
-	}
-	s := &Session{c: c, br: br, node: hello.Node, n: hello.Ins.N, mx: mx}
-	if err := writeFrame(c, kindReady, byte(hello.Node), 0, nil); err != nil {
-		return fail("sending ready", err)
-	}
-	c.SetDeadline(time.Time{})
-	s.account(headerLen, 0)
-	if err := s.Send(hello.Node, 0, proto.TagHeartbeat, proto.Heartbeat{Node: hello.Node, Moves: 0}, 0); err != nil {
-		return fail("sending heartbeat", err)
-	}
-	return s, hello, nil
 }
 
 var _ transport.Transport = (*Fleet)(nil)

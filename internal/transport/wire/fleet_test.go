@@ -5,6 +5,7 @@
 package wire
 
 import (
+	"net"
 	"os"
 	"runtime"
 	"testing"
@@ -254,8 +255,10 @@ func TestFleetGossipBroadcastFanout(t *testing.T) {
 	}
 }
 
-// TestFleetCloseHygiene: after Close, every reader goroutine and socket is
-// gone even with members still connected.
+// TestFleetCloseHygiene: Close returns promptly and, after it, every reader
+// goroutine and socket is gone, even with members still connected and one
+// dialer connected but silent (a port scan, a stalled link), whose handshake
+// Close must cut short instead of waiting out joinHandshakeTimeout.
 func TestFleetCloseHygiene(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("fd accounting reads /proc")
@@ -268,15 +271,28 @@ func TestFleetCloseHygiene(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The silent dialer connects first; the accept loop takes connections in
+	// order, so once the joiners below are members its handshake is running.
+	silent, err := net.Dial("tcp", f.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
 	var sessions []*Session
 	for i := 0; i < 3; i++ {
-		s, _, err := JoinFleet(f.Addr(), "w", nil)
+		s, h, err := JoinFleet(f.Addr(), "w", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		waitState(t, f, h.Node, MemberLive)
 		sessions = append(sessions, s)
 	}
+	began := time.Now()
 	f.Close()
+	if took := time.Since(began); took > time.Second {
+		t.Fatalf("Close took %v with a silent dialer connected", took)
+	}
+	silent.Close()
 	for _, s := range sessions {
 		s.Close()
 	}

@@ -1,10 +1,11 @@
 // Package wire carries the master–slave protocol over TCP, so the paper's
 // slaves can run as separate OS processes (cmd/mkpworker) instead of
 // goroutines. It implements the same transport.Transport seam as the
-// in-process substrate: the master side (Net, built by Dial) multiplexes all
-// worker connections into one mailbox for node 0, and the worker side
-// (Session, built by Accept) exposes the single connection back to the master
-// as the slave's transport.
+// in-process substrate: the master side (Fleet, built by Dial for a fixed
+// worker roster or by ListenFleet for workers that join) multiplexes all
+// member connections into one mailbox for node 0, and the worker side
+// (Session, built by Accept or JoinFleet) exposes the single connection back
+// to the master as the slave's transport.
 //
 // Framing: every message is one length-prefixed frame with a fixed 14-byte
 // header —
@@ -25,12 +26,15 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"time"
 
+	"repro/internal/transport"
 	"repro/internal/transport/proto"
 )
 
@@ -64,7 +68,7 @@ const (
 )
 
 // Frame kinds. Start..Heartbeat and Join..Steal map one-to-one onto the
-// proto tags; Hello and Ready exist only during the dial handshake and never
+// proto tags; Hello and Ready exist only during the handshake and never
 // reach a Transport. Join opens the elastic handshake (worker -> fleet
 // master), Leave closes a membership gracefully, Gossip carries the
 // epoch-stamped incumbent both ways, and Steal is an idle worker's offer to
@@ -189,4 +193,47 @@ func readFrame(r io.Reader) (kind, from, to byte, payload []byte, err error) {
 		return 0, 0, 0, nil, frameErrorf("wire: frame checksum mismatch (got %#08x, want %#08x)", crc, wantCRC)
 	}
 	return hdr[3], hdr[4], hdr[5], payload, nil
+}
+
+// encodeMessage encodes payload for an n-item instance and frames it.
+func encodeMessage(from, to int, tag string, payload any, n int, mx wireMetrics) ([]byte, error) {
+	kind, err := kindOf(tag)
+	if err != nil {
+		return nil, err
+	}
+	began := time.Now()
+	data, err := proto.EncodePayload(tag, payload, n)
+	if err != nil {
+		return nil, err
+	}
+	mx.encodeDur.Observe(time.Since(began).Seconds())
+	return appendFrame(make([]byte, 0, headerLen+len(data)), kind, byte(from), byte(to), data)
+}
+
+// readMessage reads the next frame from br and decodes its payload for an
+// n-item instance. Any error leaves the stream untrustworthy, so the caller
+// abandons the connection; integrity failures (a bad frame, an unknown kind,
+// an undecodable payload), unlike plain I/O errors, are counted on
+// wire_frame_errors_total.
+func readMessage(br *bufio.Reader, n int, mx wireMetrics) (transport.Message, error) {
+	kind, from, to, data, err := readFrame(br)
+	if err != nil {
+		if isFrameError(err) {
+			mx.frameErrors.Inc()
+		}
+		return transport.Message{}, err
+	}
+	tag, err := tagOf(kind)
+	var payload any
+	if err == nil {
+		began := time.Now()
+		if payload, err = proto.DecodePayload(tag, data, n); err == nil {
+			mx.decodeDur.Observe(time.Since(began).Seconds())
+		}
+	}
+	if err != nil {
+		mx.frameErrors.Inc()
+		return transport.Message{}, err
+	}
+	return transport.Message{From: int(from), To: int(to), Tag: tag, Payload: payload, Size: len(data)}, nil
 }

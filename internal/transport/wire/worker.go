@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"net"
 	"sync"
@@ -37,26 +38,74 @@ type Session struct {
 	mx wireMetrics
 }
 
-// Accept performs the worker side of the handshake on an accepted
+// Accept performs the worker side of the roster handshake on an accepted
 // connection: read the master's Hello (node number, seed, instance), answer
 // Ready, and publish an initial zero-moves heartbeat so the master's reader
 // sees a live frame before the first round. reg may be nil. The caller runs
 // the slave loop with the returned session, node, instance and seed, e.g.
 // core.Slave(sess, hello.Node, hello.Ins, hello.Seed).
 func Accept(c net.Conn, reg *metrics.Registry) (*Session, proto.Hello, error) {
-	br := bufio.NewReader(c)
+	return greet(c, bufio.NewReader(c), newWireMetrics(reg))
+}
+
+// JoinFleet is the worker side of the elastic handshake: dial the fleet
+// master (with the same retry/backoff and DialOptions as Dial), send a Join
+// carrying a free-form name, then finish as Accept does — the Hello assigns
+// this worker its node id, seed, instance, epoch and membership view. The
+// returned Session is the worker's transport, same as Accept's.
+//
+// WithContext cancels the whole join — backoff sleeps *and* the handshake
+// itself: a cancellation mid-handshake closes the connection so the
+// blocking frame reads unwind promptly, leaking neither the FD nor this
+// goroutine.
+func JoinFleet(addr, name string, reg *metrics.Registry, opts ...DialOption) (*Session, proto.Hello, error) {
+	cfg := newDialConfig(opts)
+	mx := newWireMetrics(reg)
+	c, err := dialRetry(cfg, addr, mx)
+	if err != nil {
+		return nil, proto.Hello{}, fmt.Errorf("wire: joining fleet at %s: %w", addr, err)
+	}
+	// From here the context cancels the handshake by closing the conn; the
+	// hook is released on every exit path, so a completed join's session is
+	// no longer tied to the join context.
+	stop := context.AfterFunc(cfg.ctx, func() { c.Close() })
+	defer stop()
+	c.SetDeadline(time.Now().Add(cfg.timeout))
+	join, err := proto.EncodePayload(proto.TagJoin, proto.Join{Name: name}, 0)
+	if err == nil {
+		err = writeFrame(c, kindJoin, 0, 0, join)
+	}
+	var s *Session
+	var hello proto.Hello
+	if err == nil {
+		s, hello, err = greet(c, bufio.NewReader(c), mx)
+	}
+	if err != nil {
+		c.Close()
+		if cerr := cfg.ctx.Err(); cerr != nil {
+			return nil, proto.Hello{}, fmt.Errorf("wire: join with %s canceled: %w", addr, cerr)
+		}
+		return nil, proto.Hello{}, fmt.Errorf("wire: joining fleet at %s: %w", addr, err)
+	}
+	c.SetDeadline(time.Time{})
+	return s, hello, nil
+}
+
+// greet is the worker's half of the Hello→Ready exchange both handshakes end
+// with: read the Hello, answer Ready, publish the zero-moves heartbeat.
+func greet(c net.Conn, br *bufio.Reader, mx wireMetrics) (*Session, proto.Hello, error) {
 	kind, _, _, payload, err := readFrame(br)
+	if err == nil && kind != kindHello {
+		err = fmt.Errorf("expected hello frame, got kind %d", kind)
+	}
 	if err != nil {
 		return nil, proto.Hello{}, fmt.Errorf("wire: reading hello: %w", err)
-	}
-	if kind != kindHello {
-		return nil, proto.Hello{}, fmt.Errorf("wire: expected hello frame, got kind %d", kind)
 	}
 	hello, err := proto.DecodeHello(payload)
 	if err != nil {
 		return nil, proto.Hello{}, err
 	}
-	s := &Session{c: c, br: br, node: hello.Node, n: hello.Ins.N, mx: newWireMetrics(reg)}
+	s := &Session{c: c, br: br, node: hello.Node, n: hello.Ins.N, mx: mx}
 	if err := writeFrame(c, kindReady, byte(hello.Node), 0, nil); err != nil {
 		return nil, proto.Hello{}, fmt.Errorf("wire: sending ready: %w", err)
 	}
@@ -86,24 +135,18 @@ func (s *Session) Send(from, to int, tag string, payload any, size int) error {
 	if s.dead.Load() {
 		return nil
 	}
-	began := time.Now()
-	data, err := proto.EncodePayload(tag, payload, s.n)
-	if err != nil {
-		return err
-	}
-	s.mx.encodeDur.Observe(time.Since(began).Seconds())
-	kind, err := kindOf(tag)
+	frame, err := encodeMessage(from, to, tag, payload, s.n, s.mx)
 	if err != nil {
 		return err
 	}
 	s.mu.Lock()
-	err = writeFrame(s.c, kind, byte(from), byte(to), data)
+	_, err = s.c.Write(frame)
 	s.mu.Unlock()
 	if err != nil {
 		s.dead.Store(true)
 		return nil
 	}
-	s.account(headerLen+len(data), len(data))
+	s.account(len(frame), len(frame)-headerLen)
 	return nil
 }
 
@@ -120,30 +163,14 @@ func (s *Session) Recv(node int) transport.Message {
 	if s.dead.Load() {
 		return stop
 	}
-	kind, from, _, payload, err := readFrame(s.br)
+	msg, err := readMessage(s.br, s.n, s.mx)
 	if err != nil {
-		if isFrameError(err) {
-			s.mx.frameErrors.Inc()
-		}
 		s.dead.Store(true)
 		return stop
 	}
-	tag, err := tagOf(kind)
-	if err != nil {
-		s.mx.frameErrors.Inc()
-		s.dead.Store(true)
-		return stop
-	}
-	began := time.Now()
-	decoded, err := proto.DecodePayload(tag, payload, s.n)
-	if err != nil {
-		s.mx.frameErrors.Inc()
-		s.dead.Store(true)
-		return stop
-	}
-	s.mx.decodeDur.Observe(time.Since(began).Seconds())
-	s.account(headerLen+len(payload), len(payload))
-	return transport.Message{From: int(from), To: s.node, Tag: tag, Payload: decoded, Size: len(payload)}
+	s.account(headerLen+msg.Size, msg.Size)
+	msg.To = s.node
+	return msg
 }
 
 // RecvTimeout waits up to d for the master's next frame. A timeout that
@@ -205,4 +232,3 @@ func (s *Session) Close() error {
 }
 
 var _ transport.Transport = (*Session)(nil)
-var _ transport.Transport = (*Net)(nil)
