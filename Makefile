@@ -33,9 +33,11 @@ bench:
 
 # chaos runs the fault-injection suite under the race detector: message
 # loss, duplication, crashed slaves, mid-rendezvous errors and the solution
-# aliasing regression.
+# aliasing regression; then the fault replay goldens five times over, since a
+# faulty in-process run must replay bitwise.
 chaos:
 	$(GO) test -race -run Fault ./...
+	$(GO) test -race -count=5 -run '^TestFaultGoldens$$' ./internal/core
 
 # chaos-wire runs the network chaos layer and untrusted-result hardening
 # suites under the race detector: the chaosnet injector unit tests, the

@@ -73,7 +73,7 @@ func run() int {
 		resume   = flag.String("resume", "", "resume from a -checkpoint base path (newest uncorrupted generation wins)")
 
 		maxRestarts = flag.Int("maxrestarts", 0, "arm the self-healing supervisor: per-slave restart budget (0 = supervision off)")
-		backoff     = flag.Duration("backoff", 0, "supervisor: base restart backoff, doubled per death and capped at 5s (0 = default 100ms)")
+		backoff     = flag.Duration("backoff", 0, "supervisor: base restart backoff on the simulated clock (so a number of rounds, not host time), doubled per death and capped at 5s (0 = default 100ms)")
 
 		workers = flag.String("workers", "", "comma-separated mkpworker addresses; run the slaves as separate processes over TCP (P defaults to the worker count)")
 
@@ -87,7 +87,7 @@ func run() int {
 		dropRate  = flag.Float64("droprate", 0, "fault injection: probability a message is silently dropped")
 		dupRate   = flag.Float64("duprate", 0, "fault injection: probability a message is delivered twice")
 		crash     = flag.String("crash", "", "fault injection: comma-separated NODE@K specs; node goes fail-silent after K sends (slaves are nodes 1..P)")
-		slaveTO   = flag.Duration("slavetimeout", 0, "upper bound on the per-round rendezvous deadline under faults (0 = default 5s)")
+		slaveTO   = flag.Duration("slavetimeout", 0, "-workers/-elastic: upper bound on the per-round rendezvous deadline, after which a silent worker's round is re-dispatched (0 = default 5s; in-process runs need none)")
 
 		chaosSeed     = flag.Uint64("chaos", 0, "seed for the deterministic network chaos injector on wire connections (-workers/-elastic; armed when any chaos flag is set)")
 		chaosCorrupt  = flag.Float64("chaos-corrupt", 0, "chaos: probability a write has one byte flipped (surfaces as CRC hard-errors, never silent data)")

@@ -267,6 +267,86 @@ func TestChaosForgedResultQuarantine(t *testing.T) {
 	}
 }
 
+// TestChaosForgedIdentity: a joiner whose payload names an honest peer is
+// judged as itself. The master attributes traffic to the connection the
+// fleet stamped (Message.From), so the forged claim strikes the forger and
+// frames nobody: node 1 keeps its slot whatever the joiner says about it.
+func TestChaosForgedIdentity(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		reply func(s *wire.Session, node int, start proto.Start)
+		check func(m *master, st Stats) string
+	}{
+		{"result-error", func(s *wire.Session, node int, start proto.Start) {
+			s.Send(node, 0, proto.TagResult,
+				proto.Result{Slot: start.Slot, Node: 1, Round: start.Round, Err: "forged"}, 0)
+		}, func(m *master, st Stats) string {
+			if !m.alive[0] || m.alive[3] || st.DeadSlaves != 1 {
+				return fmt.Sprintf("alive=%v DeadSlaves=%d, want only the forger (node 4) dead", m.alive, st.DeadSlaves)
+			}
+			return ""
+		}},
+		{"leave", func(s *wire.Session, node int, start proto.Start) {
+			s.SendControl(node, 0, proto.TagLeave, proto.Leave{Node: 1, Reason: "forged"}, 0)
+		}, func(m *master, st Stats) string {
+			if m.departed[0] || !m.alive[0] || !m.departed[3] || st.Leaves != 1 {
+				return fmt.Sprintf("departed=%v alive=%v Leaves=%d, want only the forger (node 4) retired",
+					m.departed, m.alive, st.Leaves)
+			}
+			return ""
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ins := testInstance(40, 4, 607)
+			e, err := NewEngine(ins, CTS2, Options{
+				P: 4, Seed: 45, Rounds: 3, RoundMoves: 300,
+				SlaveTimeout: 2 * time.Second,
+				Elastic:      &ElasticConfig{Listen: "127.0.0.1:0", Min: 4, JoinGrace: 20 * time.Second},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			for i := 0; i < 3; i++ {
+				joinElasticWorker(t, e.FleetAddr(), fmt.Sprintf("honest%d", i), ElasticOptions{})
+			}
+			s, hello, err := wire.JoinFleet(e.FleetAddr(), "forger", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hello.Node != 4 {
+				t.Fatalf("forger joined as node %d, want 4", hello.Node)
+			}
+			go func() {
+				defer s.Close()
+				for {
+					msg := s.Recv(hello.Node)
+					if msg.Tag == proto.TagStop {
+						return
+					}
+					if start, ok := msg.Payload.(proto.Start); ok {
+						tc.reply(s, hello.Node, start)
+					}
+				}
+			}()
+
+			res, err := e.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if msg := tc.check(e.m, res.Stats); msg != "" {
+				t.Fatal(msg)
+			}
+			if res.Stats.ResultRejects < 1 {
+				t.Fatalf("ResultRejects = %d, want the forged identity struck", res.Stats.ResultRejects)
+			}
+			if res.Stats.Rounds != 3 || !mkp.IsFeasibleAssignment(ins, res.Best.X) {
+				t.Fatalf("run ended after %d rounds with feasible=%v", res.Stats.Rounds, mkp.IsFeasibleAssignment(ins, res.Best.X))
+			}
+		})
+	}
+}
+
 // TestChaosOptionValidation pins the Chaos admission rules: a plan needs a
 // wire substrate to wrap, and a malformed plan is rejected at NewEngine.
 func TestChaosOptionValidation(t *testing.T) {

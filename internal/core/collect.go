@@ -26,10 +26,8 @@ type lifecycle interface {
 	resultRejected(node, round int, reason string)
 }
 
-// collector runs the rendezvous: it waits for the round's dispatched results
-// and, on the deadline-driven path, re-dispatches lost rounds and feeds the
-// watchdog. It owns the measured per-move cost that calibrates rendezvous
-// deadlines.
+// collector runs the rendezvous: it waits for the round's dispatched results,
+// re-dispatches lost rounds and feeds the watchdog.
 type collector struct {
 	*slaveTable
 	net   transport.Transport
@@ -39,48 +37,15 @@ type collector struct {
 	mx    *masterMetrics
 	disp  *dispatcher
 	life  lifecycle
-	heal  *healer     // nil unless supervised: ack caching + watchdog observations
+	heal  *healer     // nil unless supervised: watchdog observations
 	rec   *reconciler // nil unless elastic: membership, steal and gossip state
 	best  *mkp.Solution
 
-	// perMove is the measured real cost of one kernel move, the basis of the
-	// budget-proportional rendezvous deadline.
+	// timed is set on a wire fleet, where a death is only silence: waits end
+	// at deadlines priced by perMove, the measured cost of one kernel move.
+	// In-process the farm ends a wait, and the collector reads no clock.
+	timed   bool
 	perMove time.Duration
-}
-
-// collect is the plain blocking rendezvous used when fault injection is off:
-// every dispatched order produces exactly one reply, so the collector waits
-// for `dispatched` messages. This is byte-for-byte the pre-fault-tolerance
-// behavior — a fault-free run replays bitwise — except that a slave
-// reporting an error no longer aborts the whole cooperative run: the slave
-// is declared dead and the run degrades. It reports whether any failure
-// occurred.
-func (c *collector) collect(round, dispatched int, results []*tabu.Result) bool {
-	hadFailure := false
-	for recvd := 0; recvd < dispatched; recvd++ {
-		msg := c.net.Recv(0)
-		rep := msg.Payload.(proto.Result)
-		if rep.Err != "" {
-			c.life.slaveDied(rep.Node-1, round, errors.New(rep.Err))
-			c.life.slotFailed(rep.Slot, round)
-			hadFailure = true
-			continue
-		}
-		if rep.Slot < 0 || rep.Slot >= len(results) {
-			c.life.resultRejected(msg.From-1, round, fmt.Sprintf("slot %d out of range", rep.Slot))
-			hadFailure = true
-			continue
-		}
-		if reason := c.vetResult(rep); reason != "" {
-			c.life.resultRejected(msg.From-1, round, reason)
-			c.life.slotFailed(rep.Slot, round)
-			hadFailure = true
-			continue
-		}
-		results[rep.Slot] = rep.Res
-		c.mx.results.Inc()
-	}
-	return hadFailure
 }
 
 // vetResult revalidates a reported round result before it can touch the
@@ -118,15 +83,19 @@ func (c *collector) vetResult(rep proto.Result) string {
 // silent every round and crosses the threshold immediately.
 const deadAfterMisses = 3
 
-// collectFaulty is the deadline-driven rendezvous used when fault injection
-// is armed, when the supervisor needs watchdog observations, or when slaves
-// are remote worker processes (whose deaths only ever manifest as silence).
-// Missing results are re-dispatched — first to the original slave (the loss
-// may have been a dropped message), then to a live slave that has already
-// reported this round — and abandoned once MaxRedispatch re-sends are spent.
-// A node that stays silent deadAfterMisses rounds in a row, or reports an
-// error, is declared dead and its slot excluded from future rounds.
-func (c *collector) collectFaulty(round int, budgets []int64, results []*tabu.Result) bool {
+// collect runs one rendezvous (the synchronous centralized scheme, §4.2): it
+// waits for the round's dispatched results and reports whether any failure
+// occurred. A receive that returns nothing ends a wait with slots still
+// pending: on the in-process farm that happens exactly when nothing more can
+// arrive, on a wire fleet when the deadline passes. Each pending slot is then
+// re-dispatched — first to its own slave (the loss may have been a dropped
+// message), then to a live slave that has already reported this round — and
+// abandoned once MaxRedispatch re-sends are spent. A node that stays silent
+// deadAfterMisses rounds in a row is declared dead, as is one that reports an
+// error; an error also abandons that slot's round. Traffic is attributed to
+// the sender the transport stamped (Message.From), never to the node a
+// payload names.
+func (c *collector) collect(round int, budgets []int64, results []*tabu.Result) bool {
 	const (
 		pending = iota
 		done
@@ -157,11 +126,19 @@ func (c *collector) collectFaulty(round int, budgets []int64, results []*tabu.Re
 		}
 	}
 
+	var deadline time.Time
+	rearm := func() {
+		if c.timed {
+			deadline = time.Now().Add(c.timeoutFor(maxBudget))
+		}
+	}
+	rearm()
+
 	// A straggler's round becomes stealable once it has been outstanding for
 	// half the rendezvous deadline: early enough that a thief's re-run can
 	// beat the deadline, late enough that a healthy slot (deadlines are 4×
 	// the measured cost) is never stolen and the no-churn run stays
-	// equivalent to the static one.
+	// equivalent to the static one. Thieves exist only on an elastic fleet.
 	stealAfter := c.timeoutFor(maxBudget) / 2
 	trySteal := func() {
 		if c.rec == nil || c.rec.thiefCount() == 0 {
@@ -196,14 +173,28 @@ func (c *collector) collectFaulty(round int, budgets []int64, results []*tabu.Re
 		}
 	}
 
+	// retry re-dispatches slot s or, with its re-sends spent, abandons it. It
+	// reports whether the slot is in flight again.
+	retry := func(s int) bool {
+		if c.redispatch(s, round, budgets, attempts, assigned, finished, &borrow) {
+			return true
+		}
+		state[s] = abandoned
+		outstanding--
+		c.life.slotFailed(s, round)
+		return false
+	}
+
 	hadFailure := false
-	began := time.Now()
-	waitUntil := began.Add(c.timeoutFor(maxBudget))
 	for outstanding > 0 {
-		if wait := time.Until(waitUntil); wait > 0 {
-			// With thieves queued, wake at the earliest moment a pending slot
-			// becomes stealable instead of sleeping out the full deadline.
-			poll := wait
+		// In-process the wait is nominal: the farm ignores it.
+		wait := c.opts.SlaveTimeout
+		poll := wait
+		if c.timed {
+			wait = time.Until(deadline)
+			poll = max(wait, 0)
+			// With thieves queued, wake at the earliest moment a pending
+			// slot becomes stealable instead of sleeping out the deadline.
 			if c.rec != nil && c.rec.thiefCount() > 0 {
 				now := time.Now()
 				for s := 0; s < p; s++ {
@@ -214,196 +205,184 @@ func (c *collector) collectFaulty(round int, budgets []int64, results []*tabu.Re
 						poll = d
 					}
 				}
-				if poll < time.Millisecond {
-					poll = time.Millisecond
-				}
+				poll = max(poll, time.Millisecond)
 			}
-			msg, ok := c.net.RecvTimeout(0, poll)
-			if !ok {
-				trySteal()
-				if time.Now().Before(waitUntil) {
+		}
+		msg, ok := c.net.RecvTimeout(0, poll)
+		if !ok {
+			trySteal()
+			if poll < wait {
+				continue // a steal poll, not the deadline
+			}
+			// The wait is over: every still-pending slot missed the rendezvous.
+			hadFailure = true
+			progressed := false
+			for s := 0; s < p; s++ {
+				if state[s] != pending {
 					continue
 				}
-			} else {
-				switch pl := msg.Payload.(type) {
-				case proto.Ack:
-					// A dying incarnation confirmed its stop after the grace
-					// window expired; cache it for the next respawn attempt.
-					if c.heal != nil {
-						c.heal.cacheAck(pl.Node)
-					}
-				case proto.Leave:
-					// A graceful departure mid-rendezvous: retire the member
-					// (never charged to DeadSlaves) and move any round it
-					// still owed to another worker.
-					if c.rec != nil {
-						hadFailure = true
-						c.rec.retire(pl.Node, round)
-						for s := 0; s < p; s++ {
-							if state[s] != pending || assigned[s] != pl.Node {
-								continue
-							}
-							if c.redispatch(s, round, budgets, attempts, assigned, finished, &borrow) {
-								waitUntil = time.Now().Add(c.timeoutFor(maxBudget))
-							} else {
-								state[s] = abandoned
-								outstanding--
-								c.life.slotFailed(s, round)
-							}
-						}
-					}
-				case proto.Gossip:
-					if c.rec != nil {
-						// A donated solution that fails validation is a strike:
-						// honest workers only ever echo or improve feasible
-						// state, so a malformed or infeasible donation is a
-						// protocol violation, not a timing artifact.
-						if reason := c.rec.noteGossip(pl); reason != "" {
-							c.life.resultRejected(msg.From-1, round, "gossip: "+reason)
-						}
-					}
-				case proto.Steal:
-					if c.rec != nil {
-						c.rec.noteSteal(pl)
-						trySteal()
-					}
-				case proto.Result:
-					rep := pl
-					if rep.Err != "" {
-						hadFailure = true
-						c.life.slaveDied(rep.Node-1, round, errors.New(rep.Err))
-						if s := rep.Slot; s >= 0 && s < p && state[s] == pending {
-							if c.redispatch(s, round, budgets, attempts, assigned, finished, &borrow) {
-								waitUntil = time.Now().Add(c.timeoutFor(maxBudget))
-							} else {
-								state[s] = abandoned
-								outstanding--
-								c.life.slotFailed(s, round)
-							}
-						}
-						continue
-					}
-					if rep.Round != round {
-						continue // stale round: a redispatched order landed late
-					}
-					if rep.Slot < 0 || rep.Slot >= p {
-						// No dispatch ever carried this slot: a hostile stamp,
-						// not a timing artifact, so it strikes the sender.
-						c.life.resultRejected(msg.From-1, round, fmt.Sprintf("slot %d out of range", rep.Slot))
-						continue
-					}
-					if state[rep.Slot] != pending {
-						continue // duplicate, or already-abandoned slot
-					}
-					if reason := c.vetResult(rep); reason != "" {
-						// A result that fails revalidation is treated exactly
-						// like a lost one — the slot goes back through the
-						// redispatch path — plus a strike for the sender.
-						hadFailure = true
-						c.life.resultRejected(msg.From-1, round, reason)
-						if c.redispatch(rep.Slot, round, budgets, attempts, assigned, finished, &borrow) {
-							waitUntil = time.Now().Add(c.timeoutFor(maxBudget))
-						} else {
-							state[rep.Slot] = abandoned
-							outstanding--
-							c.life.slotFailed(rep.Slot, round)
-						}
-						continue
-					}
-					state[rep.Slot] = done
-					results[rep.Slot] = rep.Res
-					c.mx.results.Inc()
-					outstanding--
-					if n := rep.Node - 1; n >= 0 && n < p {
-						c.nodeFail[n] = 0
-						// Kept in node order, not arrival order, so which
-						// node a redispatch borrows does not depend on
-						// timing once the same nodes have reported.
-						at, _ := slices.BinarySearch(finished, rep.Node)
-						finished = slices.Insert(finished, at, rep.Node)
-						if c.heal != nil && rep.Res != nil {
-							// A result is definitive progress: account the moves
-							// and reset the watchdog to the watermark the node
-							// will freeze at if it dies.
-							c.heal.noteResult(n, rep.Res.Moves)
-						}
-					}
-					// Calibrate the budget-proportional deadline from real
-					// arrivals, measured from the slot's own dispatch so waits
-					// on other slots don't inflate it; keep the largest
-					// observation so transient hiccups can only make later
-					// deadlines more generous.
-					if rep.Res != nil && rep.Res.Moves > 0 && !c.disp.dispatchedAt[rep.Slot].IsZero() {
-						if per := time.Since(c.disp.dispatchedAt[rep.Slot]) / time.Duration(rep.Res.Moves); per > c.perMove {
-							c.perMove = per
-						}
-					}
-				default:
-					// heartbeat or other non-rendezvous traffic
+				if c.opts.Tracer != nil {
+					c.opts.Tracer.Record(trace.Event{
+						Kind: trace.KindSlaveTimeout, Actor: -1, Round: round, Value: c.best.Value,
+						Detail: fmt.Sprintf("slot=%d node=%d attempt=%d", s, assigned[s], attempts[s]),
+					})
 				}
-				continue
+				if n := assigned[s] - 1; n >= 0 && n < p && !timedOut[n] {
+					timedOut[n] = true
+					c.chargeMiss(n, round)
+				}
+				if retry(s) {
+					progressed = true
+				}
 			}
+			if progressed {
+				rearm()
+			}
+			continue
 		}
 
-		// Deadline expired: every still-pending slot missed the rendezvous.
-		hadFailure = true
-		progressed := false
-		for s := 0; s < p; s++ {
-			if state[s] != pending {
+		from := msg.From
+		switch pl := msg.Payload.(type) {
+		case proto.Leave:
+			// A graceful departure mid-rendezvous: retire the member (never
+			// charged to DeadSlaves) and move any round it still owed to
+			// another worker.
+			if c.rec != nil {
+				c.checkIdentity(from, pl.Node, round)
+				hadFailure = true
+				c.rec.retire(from, round)
+				for s := 0; s < p; s++ {
+					if state[s] == pending && assigned[s] == from && retry(s) {
+						rearm()
+					}
+				}
+			}
+		case proto.Gossip:
+			if c.rec != nil {
+				// A donated solution that fails validation is a strike:
+				// honest workers only ever echo or improve feasible state, so
+				// a malformed or infeasible donation is a protocol violation,
+				// not a timing artifact.
+				if reason := c.rec.noteGossip(pl); reason != "" {
+					c.life.resultRejected(from-1, round, "gossip: "+reason)
+				}
+			}
+		case proto.Steal:
+			if c.rec != nil {
+				c.checkIdentity(from, pl.Node, round)
+				c.rec.noteSteal(from, pl.Round)
+				trySteal()
+			}
+		case proto.Result:
+			rep := pl
+			c.checkIdentity(from, rep.Node, round)
+			if rep.Round != round {
+				continue // stale round: a redispatched or duplicated order landed late
+			}
+			if rep.Err != "" {
+				// The slave's own error ends its slot's round: re-running the
+				// same order elsewhere would only repeat it.
+				hadFailure = true
+				c.life.slaveDied(from-1, round, errors.New(rep.Err))
+				if s := rep.Slot; s >= 0 && s < p && state[s] == pending {
+					state[s] = abandoned
+					outstanding--
+					c.life.slotFailed(s, round)
+				}
 				continue
 			}
-			if c.opts.Tracer != nil {
-				c.opts.Tracer.Record(trace.Event{
-					Kind: trace.KindSlaveTimeout, Actor: -1, Round: round, Value: c.best.Value,
-					Detail: fmt.Sprintf("slot=%d node=%d attempt=%d", s, assigned[s], attempts[s]),
-				})
+			if rep.Slot < 0 || rep.Slot >= p {
+				// No dispatch ever carried this slot: a hostile stamp, not a
+				// timing artifact, so it strikes the sender.
+				c.life.resultRejected(from-1, round, fmt.Sprintf("slot %d out of range", rep.Slot))
+				continue
 			}
-			if n := assigned[s] - 1; n >= 0 && n < p && !timedOut[n] {
-				timedOut[n] = true
-				charge := true
-				if c.heal != nil {
-					switch c.heal.observe(n) {
-					case supervise.Advanced:
-						// The watermark moved: the node is computing, just
-						// slower than the deadline. Forgive the silence.
-						charge = false
-					case supervise.Stalled:
-						// Frozen for StallChecks deadline checks in a row:
-						// hung, no need to wait out the silent-miss count.
-						charge = false
-						c.stats.WatchdogTrips++
-						c.mx.watchdogTrips.Inc()
-						if c.opts.Tracer != nil {
-							c.opts.Tracer.Record(trace.Event{
-								Kind: trace.KindWatchdogTrip, Actor: -1, Round: round, Value: c.best.Value,
-								Detail: fmt.Sprintf("node=%d watermark frozen at %d", n+1, c.heal.watermark(n)),
-							})
-						}
-						if c.alive[n] {
-							c.life.slaveDied(n, round, nil)
-						}
-					}
+			if state[rep.Slot] != pending {
+				continue // duplicate, or already-abandoned slot
+			}
+			if reason := c.vetResult(rep); reason != "" {
+				// A result that fails revalidation is treated exactly like a
+				// lost one — the slot goes back through the redispatch path —
+				// plus a strike for the sender.
+				hadFailure = true
+				c.life.resultRejected(from-1, round, reason)
+				if retry(rep.Slot) {
+					rearm()
 				}
-				if charge {
-					c.nodeFail[n]++
-					if c.nodeFail[n] >= deadAfterMisses && c.alive[n] {
-						c.life.slaveDied(n, round, nil)
-					}
+				continue
+			}
+			state[rep.Slot] = done
+			results[rep.Slot] = rep.Res
+			c.mx.results.Inc()
+			outstanding--
+			if n := from - 1; n >= 0 && n < p {
+				c.nodeFail[n] = 0
+				// Kept in node order, not arrival order, so which node a
+				// redispatch borrows does not depend on timing once the same
+				// nodes have reported.
+				at, _ := slices.BinarySearch(finished, from)
+				finished = slices.Insert(finished, at, from)
+				if c.heal != nil && rep.Res != nil {
+					// A result is definitive progress: account the moves and
+					// reset the watchdog to the watermark the node will freeze
+					// at if it dies.
+					c.heal.noteResult(n, rep.Res.Moves)
 				}
 			}
-			if c.redispatch(s, round, budgets, attempts, assigned, finished, &borrow) {
-				progressed = true
-			} else {
-				state[s] = abandoned
-				outstanding--
-				c.life.slotFailed(s, round)
+			// Calibrate the budget-proportional deadline from real arrivals,
+			// measured from the slot's own dispatch so waits on other slots
+			// don't inflate it; keep the largest observation so transient
+			// hiccups can only make later deadlines more generous.
+			if c.timed && rep.Res != nil && rep.Res.Moves > 0 && !c.disp.dispatchedAt[rep.Slot].IsZero() {
+				if per := time.Since(c.disp.dispatchedAt[rep.Slot]) / time.Duration(rep.Res.Moves); per > c.perMove {
+					c.perMove = per
+				}
 			}
-		}
-		if progressed {
-			waitUntil = time.Now().Add(c.timeoutFor(maxBudget))
+		default:
+			// heartbeat, a late stop ack, or other non-rendezvous traffic
 		}
 	}
 	return hadFailure
+}
+
+// chargeMiss books node index n's silence through a whole wait. Under
+// supervision the watchdog reads the node's progress watermark first: a
+// node that advanced is computing, only slower than the deadline, and is
+// forgiven; one frozen for StallChecks checks in a row is hung and declared
+// dead at once. Otherwise the silence counts toward deadAfterMisses.
+func (c *collector) chargeMiss(n, round int) {
+	if c.heal != nil {
+		switch c.heal.observe(n) {
+		case supervise.Advanced:
+			return
+		case supervise.Stalled:
+			c.stats.WatchdogTrips++
+			c.mx.watchdogTrips.Inc()
+			if c.opts.Tracer != nil {
+				c.opts.Tracer.Record(trace.Event{
+					Kind: trace.KindWatchdogTrip, Actor: -1, Round: round, Value: c.best.Value,
+					Detail: fmt.Sprintf("node=%d watermark frozen at %d", n+1, c.heal.watermark(n)),
+				})
+			}
+			if c.alive[n] {
+				c.life.slaveDied(n, round, nil)
+			}
+			return
+		}
+	}
+	c.nodeFail[n]++
+	if c.nodeFail[n] >= deadAfterMisses && c.alive[n] {
+		c.life.slaveDied(n, round, nil)
+	}
+}
+
+// checkIdentity strikes a sender whose payload names another node. Honest
+// workers always name themselves, so a mismatch is a forgery, never a timing
+// artifact; the message is still handled as the sender's own.
+func (c *collector) checkIdentity(from, claimed, round int) {
+	if claimed != from {
+		c.life.resultRejected(from-1, round, fmt.Sprintf("forged identity: claims node %d", claimed))
+	}
 }
 
 // redispatch re-sends slot's round: the first retry goes back to the slot's
@@ -449,8 +428,8 @@ func (c *collector) redispatch(slot, round int, budgets []int64, attempts, assig
 	return false
 }
 
-// timeoutFor returns the rendezvous deadline for a round whose largest slave
-// budget is maxBudget. Until a round has completed, the configured
+// timeoutFor returns the wire rendezvous deadline for a round whose largest
+// slave budget is maxBudget. Until a round has completed, the configured
 // SlaveTimeout cap applies; afterwards the deadline is proportional to the
 // round's move budget via the measured per-move cost — a virtual-time
 // deadline that tracks budget changes instead of a fixed wall clock — and

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/mkp"
+	"repro/internal/supervise"
 	"repro/internal/tabu"
 	"repro/internal/transport/inproc"
 )
@@ -65,9 +67,77 @@ func TestFaultChaosCTS2(t *testing.T) {
 	}
 }
 
+// goldenStats is the part of a run's Stats a fault golden pins.
+func goldenStats(s Stats) Stats {
+	return Stats{
+		TotalMoves: s.TotalMoves, Redispatches: s.Redispatches, DeadSlaves: s.DeadSlaves,
+		SlaveFailures: s.SlaveFailures, DroppedMessages: s.DroppedMessages,
+		SlaveRestarts: s.SlaveRestarts, WatchdogTrips: s.WatchdogTrips,
+		LiveSlaves: s.LiveSlaves, BestByRound: s.BestByRound,
+	}
+}
+
+// TestFaultGoldens pins faulty in-process runs exactly. A rendezvous ends when
+// the farm has gone quiet and the supervisor reads the simulated clock, so
+// message loss, crashed slaves and their resurrection replay bitwise. The two
+// unsupervised runs are TestFaultChaosCTS2's chaotic configuration with and
+// without its crash; the supervised run crashes two slaves under the default
+// policy.
+func TestFaultGoldens(t *testing.T) {
+	chaos := gen.GK("chaos_25x500", 500, 25, 0.25, 42)
+	chaosOpts := func(crashAt map[int]int64) Options {
+		return Options{P: 4, Seed: 9, Rounds: 5, RoundMoves: 600,
+			Faults: &inproc.FaultPlan{Seed: 7, DropRate: 0.20, CrashAt: crashAt}}
+	}
+	chaosByRound := []float64{113089, 113570, 113707, 113707, 113707}
+	var supByRound []float64
+	for _, run := range []struct {
+		v      float64
+		rounds int
+	}{{4466, 1}, {4474, 14}, {4481, 11}, {4483, 4}} {
+		for i := 0; i < run.rounds; i++ {
+			supByRound = append(supByRound, run.v)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		ins  *mkp.Instance
+		opts Options
+		best float64
+		want Stats
+	}{
+		{"drop+crash", chaos, chaosOpts(map[int]int64{3: 0}), 113707, Stats{
+			TotalMoves: 9000, Redispatches: 13, DeadSlaves: 1, SlaveFailures: 2,
+			DroppedMessages: 15, LiveSlaves: 3, BestByRound: chaosByRound}},
+		{"drop", chaos, chaosOpts(nil), 113707, Stats{
+			TotalMoves: 10200, Redispatches: 13, DroppedMessages: 13, LiveSlaves: 4,
+			BestByRound: chaosByRound}},
+		{"supervised-crash", testInstance(150, 8, 91), Options{
+			P: 4, Seed: 31, Rounds: 30, RoundMoves: 400, Supervise: &supervise.Policy{},
+			Faults: &inproc.FaultPlan{Seed: 7, CrashAt: map[int]int64{2: 1, 4: 1}},
+		}, 4483, Stats{
+			TotalMoves: 21938, Redispatches: 6, DeadSlaves: 2, DroppedMessages: 6,
+			SlaveRestarts: 2, WatchdogTrips: 2, LiveSlaves: 4, BestByRound: supByRound}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := Solve(tc.ins, CTS2, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Best.Value != tc.best || !mkp.IsFeasibleAssignment(tc.ins, res.Best.X) {
+				t.Fatalf("best %.0f (feasible %v), want %.0f", res.Best.Value,
+					mkp.IsFeasibleAssignment(tc.ins, res.Best.X), tc.best)
+			}
+			if got := goldenStats(res.Stats); !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("stats diverged from the golden:\n got %+v\nwant %+v", got, tc.want)
+			}
+		})
+	}
+}
+
 // TestFaultZeroPlanMatchesFaultFree pins the determinism contract: arming the
-// injector with an all-zero plan routes collection through the deadline-driven
-// path but must reproduce the plain blocking rendezvous bit for bit.
+// injector with an all-zero plan must reproduce the fault-free run bit for
+// bit.
 func TestFaultZeroPlanMatchesFaultFree(t *testing.T) {
 	ins := testInstance(60, 5, 77)
 	base := Options{P: 3, Seed: 11, Rounds: 5, RoundMoves: 300}

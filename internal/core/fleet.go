@@ -265,17 +265,18 @@ func (rc *reconciler) resetRound(round int) {
 	rc.gossip = mkp.Solution{}
 }
 
-// noteSteal queues a thief's offer. Stale rounds and unknown or dead nodes
-// are dropped: a steal is only honored from a live member's current round.
-func (rc *reconciler) noteSteal(s proto.Steal) {
-	if s.Round != rc.stealRound {
+// noteSteal queues node's offer to steal work in round. Stale rounds and
+// unknown or dead nodes are dropped: a steal is only honored from a live
+// member's current round.
+func (rc *reconciler) noteSteal(node, round int) {
+	if round != rc.stealRound {
 		return
 	}
-	slot := s.Node - 1
+	slot := node - 1
 	if slot < 0 || slot >= rc.size() || !rc.alive[slot] {
 		return
 	}
-	rc.thieves = append(rc.thieves, s.Node)
+	rc.thieves = append(rc.thieves, node)
 }
 
 func (rc *reconciler) thiefCount() int { return len(rc.thieves) }

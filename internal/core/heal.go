@@ -17,9 +17,10 @@ import (
 
 // healer holds the self-healing mechanics the supervisor policy drives: the
 // stop/ack handshake with a dying incarnation, the transport revival and warm
-// respawn, the cooperative warm-start pool, and the heartbeat plumbing. The
-// policy itself (budgets, backoff, watchdog thresholds) lives in
-// internal/supervise; everything here is the engine acting on its verdicts.
+// respawn, the cooperative warm-start pool, the heartbeat plumbing and the
+// simulated clock the policy reads. The policy itself (budgets, backoff,
+// watchdog thresholds) lives in internal/supervise; everything here is the
+// engine acting on its verdicts.
 // The component exists only when Options.Supervise is armed — the master's
 // heal field stays nil otherwise, and the collector and dispatcher check
 // for that.
@@ -35,17 +36,16 @@ type healer struct {
 	// sv is the restart/backoff/watchdog policy engine. inc[i] is node i+1's
 	// current incarnation number; hb[i] is the cell its heartbeat writes
 	// (swapped for a fresh one on respawn so a lingering write cannot pollute
-	// the successor's watermark); acked caches stop acknowledgements that
-	// arrived while the master was waiting on a different node or collecting
-	// a round; nodeMoves accumulates each node's lifetime kernel moves across
-	// incarnations (the warm-start epoch); pool is the merged cooperative
-	// B-best pool respawns warm-start from.
+	// the successor's watermark); nodeMoves accumulates each node's lifetime
+	// kernel moves across incarnations (the warm-start epoch); pool is the
+	// merged cooperative B-best pool respawns warm-start from; idle is the
+	// simulated time the master spent waiting for a backoff to expire.
 	sv        *supervise.Supervisor
 	inc       []int
 	hb        []*int64
-	acked     map[int]bool
 	nodeMoves []int64
 	pool      []mkp.Solution
+	idle      time.Duration
 }
 
 func newHealer(sv *supervise.Supervisor, p int) *healer {
@@ -53,7 +53,6 @@ func newHealer(sv *supervise.Supervisor, p int) *healer {
 		sv:        sv,
 		inc:       make([]int, p),
 		hb:        make([]*int64, p),
-		acked:     make(map[int]bool),
 		nodeMoves: make([]int64, p),
 	}
 	for i := range h.hb {
@@ -79,10 +78,11 @@ func (h *healer) heartbeatFor(node int) func(int64) {
 	}
 }
 
-// cacheAck records a stop acknowledgement that arrived outside awaitAck, so
-// the next respawn attempt for that node can consume it without waiting.
-func (h *healer) cacheAck(node int) {
-	h.acked[node] = true
+// now is the supervisor's clock: Stats.SimElapsed plus the simulated time
+// spent idle in awaitRevival. When a node comes back is thus decided by the
+// rounds played, never by how fast the host played them.
+func (h *healer) now() time.Time {
+	return time.Unix(0, 0).Add(h.stats.SimElapsed + h.idle)
 }
 
 // noteResult accounts a completed round from node index n: the moves feed
@@ -106,56 +106,37 @@ func (h *healer) watermark(n int) int64 {
 
 // superviseRound runs the resurrection window at a round boundary: every
 // dead node whose backoff has elapsed and whose budget remains is stopped,
-// acknowledged, revived in the transport and respawned warm. A node whose
-// dying incarnation does not acknowledge within AckGrace (it may be deep in
-// a round) is retried at a later boundary without re-sending the stop.
+// acknowledged, revived in the transport and respawned warm.
 func (h *healer) superviseRound(round int) {
-	now := time.Now()
+	now := h.now()
 	for n := 0; n < h.opts.P; n++ {
 		// A departed slot (graceful leave or quarantine) is retired for good:
 		// resurrection would re-admit the very worker the master evicted.
 		if h.alive[n] || h.departed[n] || !h.sv.Due(n, now) {
 			continue
 		}
-		// Stop the dying incarnation exactly once per handshake. The order
-		// rides the control plane, so even a crash-faulted node hears it.
-		if !h.sv.StopSent(n) {
-			h.net.SendControl(0, n+1, proto.TagStop, proto.Stop{Inc: h.inc[n], Ack: true}, 0)
-			h.sv.MarkStopSent(n)
+		// The order rides the control plane, so even a crash-faulted node
+		// hears it.
+		h.net.SendControl(0, n+1, proto.TagStop, proto.Stop{Inc: h.inc[n], Ack: true}, 0)
+		if h.awaitAck(n + 1) {
+			h.respawn(n, round)
 		}
-		if !h.awaitAck(n+1, h.sv.Policy().AckGrace) {
-			continue
-		}
-		h.respawn(n, round)
 	}
 }
 
-// awaitAck waits up to grace for node's stop acknowledgement on the master
-// mailbox. Acks for other nodes arriving meanwhile are cached; stale round
-// results are discarded, exactly as the faulty collector would.
-func (h *healer) awaitAck(node int, grace time.Duration) bool {
-	if h.acked[node] {
-		delete(h.acked, node)
-		return true
-	}
-	deadline := time.Now().Add(grace)
+// awaitAck waits for node's stop acknowledgement through the collector's
+// receive: in-process that wait ends only once nothing more can arrive, and
+// a stopping incarnation always acks, so no grace period is needed. Stale
+// round results, which precede the ack on the node's link, are dropped.
+func (h *healer) awaitAck(node int) bool {
 	for {
-		wait := time.Until(deadline)
-		if wait <= 0 {
-			return false
-		}
-		msg, ok := h.net.RecvTimeout(0, wait)
+		msg, ok := h.net.RecvTimeout(0, h.opts.SlaveTimeout)
 		if !ok {
 			return false
 		}
-		if ack, isAck := msg.Payload.(proto.Ack); isAck {
-			if ack.Node == node {
-				return true
-			}
-			h.acked[ack.Node] = true
+		if msg.Tag == proto.TagStopped && msg.From == node {
+			return true
 		}
-		// Anything else at a round boundary is a stale reply from an
-		// abandoned or duplicated round; drop it.
 	}
 }
 
@@ -242,9 +223,10 @@ func (h *healer) poolAdd(sol mkp.Solution) {
 	}
 }
 
-// awaitRevival blocks until the next dead node's backoff elapses and runs a
-// resurrection window, so a fully-dead farm can refill instead of aborting.
-// It returns false when every dead node has exhausted its restart budget.
+// awaitRevival idles the master until the next dead node's backoff expires
+// and runs a resurrection window, so a fully-dead farm can refill instead of
+// aborting. The idle time passes on the simulated clock, not the host's. It
+// returns false when every dead node has exhausted its restart budget.
 func (h *healer) awaitRevival(round int) bool {
 	var dead []int
 	for i := 0; i < h.opts.P; i++ {
@@ -256,9 +238,7 @@ func (h *healer) awaitRevival(round int) bool {
 	if !ok {
 		return false
 	}
-	if wait := time.Until(due); wait > 0 {
-		time.Sleep(wait)
-	}
+	h.idle += max(due.Sub(h.now()), 0)
 	h.superviseRound(round)
 	return true
 }

@@ -21,14 +21,17 @@ import (
 // Solve runs the selected algorithm on the instance. The run is
 // deterministic for a fixed (algorithm, Options.Seed, Options.P): slave
 // streams are split from the seed and the master's decisions depend only on
-// per-slave results, never on message arrival order. With Options.Faults set
-// the message loss schedule is still deterministic, but recovery (timeouts,
-// re-dispatch) depends on real time, so only fault-free runs replay bitwise.
+// per-slave results, never on message arrival order. That holds for faulty
+// and supervised in-process runs too: the fault schedule is fixed by the
+// plan, a rendezvous ends when the farm has gone quiet rather than on a wall
+// clock, and the supervisor reads the simulated clock, so every in-process
+// run is a pure function of (seed, fault plan, policy) and replays bitwise
+// (Options.TimeLimit, a wall-clock stop, is the one exception).
 // With Options.Workers set the slaves are separate OS processes reached over
-// TCP; such a run uses the deadline-driven rendezvous (a remote death only
-// ever manifests as silence), so it is not bitwise comparable to an in-process
-// run, but on a healthy fleet it reaches the identical final best for a fixed
-// seed — the master's decisions are a pure function of the per-slot results.
+// TCP; such a run waits on deadlines (a remote death only ever manifests as
+// silence), so it is not bitwise comparable to an in-process run, but on a
+// healthy fleet it reaches the identical final best for a fixed seed — the
+// master's decisions are a pure function of the per-slot results.
 //
 // Solve is the one-shot convenience over Engine: hosts that need to separate
 // admission from execution, or run many solves concurrently in one process,
@@ -204,6 +207,7 @@ func newMaster(ins *mkp.Instance, algo Algorithm, opts Options) (*master, error)
 
 	m := newEngine(ins, algo, opts, net, r)
 	m.fleet = fleet
+	m.coll.timed = fleet != nil
 	if opts.Elastic != nil {
 		// The elastic stream is split from the root AFTER the slave-seed
 		// block, and only when elastic is armed, so arming it never shifts
@@ -403,16 +407,8 @@ func (m *master) run() (*Result, error) {
 		}
 
 		// Rendezvous: wait for the dispatched results (synchronous
-		// centralized scheme, §4.2), tolerating loss when faults, the
-		// supervisor or remote workers are armed — supervision needs the
-		// deadline-driven collector for its watchdog observations even on a
-		// fault-free farm, and a remote worker's death is only ever silence.
-		var hadFailure bool
-		if m.opts.Faults == nil && m.heal == nil && m.fleet == nil {
-			hadFailure = m.coll.collect(round, dispatched, results)
-		} else {
-			hadFailure = m.coll.collectFaulty(round, budgets, results)
-		}
+		// centralized scheme, §4.2), re-dispatching what was lost.
+		hadFailure := m.coll.collect(round, budgets, results)
 		if hadFailure && m.opts.OnCheckpoint != nil {
 			// Resumable at the last good rendezvous even if the run dies
 			// before this round's bookkeeping completes.
@@ -561,7 +557,7 @@ func (m *master) slaveDied(node, round int, err error) {
 	m.stats.DeadSlaves++
 	m.mx.deadSlaves.Inc()
 	if m.heal != nil {
-		m.heal.sv.OnDeath(node, time.Now())
+		m.heal.sv.OnDeath(node, m.heal.now())
 	}
 	if err != nil {
 		m.lastErr = fmt.Errorf("core: slave %d: %w", node, err)

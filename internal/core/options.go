@@ -155,10 +155,10 @@ type Options struct {
 	// run over the wire protocol. P defaults to len(Workers) and must equal it
 	// when both are set. Workers is mutually exclusive with Faults, Supervise
 	// and Latency — those belong to the in-process substrate — and with
-	// Guide, whose core the wire codec does not ship. Wire runs use the
-	// deadline-driven rendezvous (a remote death only ever manifests as
-	// silence), so they are not bitwise comparable to in-process runs; on a
-	// healthy fleet a fixed seed still reaches the identical final best value.
+	// Guide, whose core the wire codec does not ship. A wire rendezvous waits
+	// on deadlines (a remote death only ever manifests as silence), so wire
+	// runs are not bitwise comparable to in-process runs; on a healthy fleet
+	// a fixed seed still reaches the identical final best value.
 	Workers []string
 	// DialTimeout bounds the per-address connect retry loop when Workers is
 	// set, and then that worker's handshake (0 = the wire default, 10s each).
@@ -174,8 +174,8 @@ type Options struct {
 	// master LISTENS (instead of dialing a Workers roster) and workers
 	// join and leave mid-run. P becomes the desired fleet size — the master
 	// admits joiners into fresh slots while live membership is below it, and
-	// never shrinks its own ambition when workers depart. Elastic runs use
-	// the deadline-driven rendezvous extended with membership traffic:
+	// never shrinks its own ambition when workers depart. Elastic runs wait
+	// on deadlines like Workers runs, with membership traffic on top:
 	// epoch-stamped global-best gossip, graceful Leave classification (a
 	// leaver is retired, never counted dead) and work stealing (an idle
 	// worker takes over a straggler's slot mid-rendezvous). A never-churning
@@ -216,41 +216,40 @@ type Options struct {
 	// lie about their own contents can accumulate strikes.
 	QuarantineStrikes int
 	// Faults, when non-nil, installs a deterministic fault injector in the
-	// farm substrate (seeded per-link message drop/duplication, per-node
-	// crash-after-k-sends, per-node slowdown) AND arms the master's
-	// fault-tolerant rendezvous: per-round slave deadlines, re-dispatch of
-	// lost rounds to live slaves, and graceful degradation to P−k slaves.
-	// When nil on an unsupervised in-process farm the master uses the plain
-	// blocking rendezvous, so fault-free runs replay bitwise identically. Failures are counted in Stats
-	// (SlaveFailures, Redispatches, DroppedMessages) and emitted as trace
-	// events; OnCheckpoint fires as soon as a failure is detected so a
-	// degraded run is resumable at the last good rendezvous.
+	// farm substrate: seeded per-link message drop/duplication, per-node
+	// crash-after-k-sends, per-node slowdown. Every rendezvous already
+	// tolerates loss — a wait ends once the farm has gone quiet, lost rounds
+	// are re-dispatched to live slaves, and the run degrades to P−k slaves —
+	// so the plan changes only what is lost, and a faulty run replays bitwise
+	// like a fault-free one (an all-zero plan reproduces the fault-free run).
+	// Failures are counted in Stats (SlaveFailures, Redispatches,
+	// DroppedMessages) and emitted as trace events; OnCheckpoint fires as soon
+	// as a failure is detected so a degraded run is resumable at the last good
+	// rendezvous.
 	Faults *inproc.FaultPlan
-	// SlaveTimeout caps how long the master waits at a rendezvous for a
-	// missing result before re-dispatching or degrading. It is used by the
-	// deadline-driven rendezvous, which runs when Faults, Supervise, Workers
-	// or Elastic is set. It is an upper bound: once a round has completed,
-	// the deadline adapts to the measured per-move cost scaled by the round's
-	// move budget, so it tracks the virtual (budget-proportional) round
-	// length rather than a fixed wall clock. Default 5s.
+	// SlaveTimeout caps how long the master waits at a rendezvous on a wire
+	// fleet (Workers or Elastic) for a missing result before re-dispatching or
+	// degrading: over TCP a dead worker is only ever silence, and silence can
+	// only be observed by time. Once a round has completed, the deadline
+	// adapts to the measured per-move cost scaled by the round's move budget,
+	// and SlaveTimeout remains the upper bound. In-process it is unused: the
+	// farm reports when nothing more can arrive. Default 5s.
 	SlaveTimeout time.Duration
-	// MaxRedispatch is how many times one slot's round may be re-sent after
-	// its deadline expires before the round is abandoned for that slot (used
-	// by the deadline-driven rendezvous, like SlaveTimeout). Default 2: once
-	// to the original slave, once to a borrowed live slave.
+	// MaxRedispatch is how many times one slot's round may be re-sent after a
+	// missed rendezvous before the round is abandoned for that slot. Default
+	// 2: once to the original slave, once to a borrowed live slave.
 	MaxRedispatch int
 	// Supervise, when non-nil, arms the self-healing layer on top of the
-	// fault-tolerant rendezvous: slaves declared dead are respawned at round
-	// boundaries after a capped exponential backoff (per-node restart budget,
-	// seeded jitter), warm-started from the master's merged B-best pool; a
-	// hung-slave watchdog reads per-slave progress watermarks at every
-	// rendezvous deadline so a slow slave is forgiven and a stalled one is
-	// declared dead without waiting out the silent-miss count. Supervision
-	// routes every rendezvous through the deadline-driven collector even when
-	// Faults is nil, so a supervised run is NOT bitwise comparable to an
-	// unsupervised one — but it is still deterministic in its outcome for a
-	// fixed seed when no real-time recovery triggers. Restarts are counted in
-	// Stats (SlaveRestarts, WatchdogTrips) and emitted as trace events.
+	// rendezvous: slaves declared dead are respawned at round boundaries
+	// after a capped exponential backoff (per-node restart budget, seeded
+	// jitter), warm-started from the master's merged B-best pool; a hung-slave
+	// watchdog reads per-slave progress watermarks at every missed rendezvous,
+	// so a slow slave is forgiven and a stalled one is declared dead without
+	// waiting out the silent-miss count. The supervisor's clock is simulated
+	// (Stats.SimElapsed plus simulated idle time), so backoff is measured in
+	// rounds played and a supervised run replays bitwise; on a healthy farm
+	// it matches the unsupervised run. Restarts are counted in Stats
+	// (SlaveRestarts, WatchdogTrips) and emitted as trace events.
 	Supervise *supervise.Policy
 	// Stop, when non-nil, requests a graceful stop: when a receive on the
 	// channel proceeds (close it or send once), the master finishes the round

@@ -12,7 +12,7 @@ import (
 	"repro/internal/transport/inproc"
 )
 
-// fastPolicy keeps supervised tests quick: short backoff, no-nonsense grace.
+// fastPolicy keeps supervised tests quick: short backoff.
 func fastPolicy() *supervise.Policy {
 	return &supervise.Policy{
 		MaxRestarts: 3,
@@ -20,7 +20,6 @@ func fastPolicy() *supervise.Policy {
 		MaxBackoff:  50 * time.Millisecond,
 		Jitter:      0.2,
 		StallChecks: 2,
-		AckGrace:    500 * time.Millisecond,
 	}
 }
 
@@ -84,7 +83,7 @@ func TestSupervisedChaosResurrection(t *testing.T) {
 }
 
 // TestSupervisedFaultFreeKeepsOutcome: on a healthy farm the supervisor must
-// be a pure observer — heartbeats and the deadline-driven collector change
+// be a pure observer — heartbeats and watchdog bookkeeping change
 // nothing about the search trajectory, so the supervised result matches the
 // unsupervised one exactly.
 func TestSupervisedFaultFreeKeepsOutcome(t *testing.T) {

@@ -4,15 +4,15 @@
 // hung slave from a merely slow one.
 //
 // The package is deliberately pure bookkeeping: it never spawns goroutines,
-// never reads the clock (callers pass `now` in), and draws jitter from
-// per-node streams split from one seeded generator at construction. Two
-// supervisors built with the same (Policy, n, seed) therefore make the same
-// decisions for the same observation sequence regardless of how the farm's
-// goroutines interleave — which is what makes a supervised chaos run
-// reproducible. The master in internal/core owns the actual respawn
-// mechanics (stop/ack handshake, farm revival, warm start); this package
-// only answers "may node i be restarted now, and how long must the next
-// death wait?".
+// never reads the clock (callers pass `now` in — the in-process master passes
+// its simulated clock), and draws jitter from per-node streams split from one
+// seeded generator at construction. Two supervisors built with the same
+// (Policy, n, seed) therefore make the same decisions for the same
+// observation sequence regardless of how the farm's goroutines interleave —
+// which is what makes a supervised chaos run reproducible. The master in
+// internal/core owns the actual respawn mechanics (stop/ack handshake, farm
+// revival, warm start); this package only answers "may node i be restarted
+// now, and how long must the next death wait?".
 package supervise
 
 import (
@@ -24,7 +24,11 @@ import (
 
 // Policy configures the supervisor. The zero value is NOT usable; call
 // WithDefaults (internal callers) or leave fields zero and let the parallel
-// layer default them.
+// layer default them. Durations are read on whatever clock the caller passes
+// as `now`: the in-process master passes simulated time (the paper-platform
+// duration of the rounds played plus simulated idle), so a backoff there is
+// a number of rounds, not host time. A stop order needs no grace period: the
+// master waits for the acknowledgement until nothing more can arrive.
 type Policy struct {
 	// MaxRestarts is the per-node restart budget: how many times one node may
 	// be resurrected over the whole run. Once spent, the node stays dead and
@@ -47,10 +51,6 @@ type Policy struct {
 	// A node whose watermark advances is never charged, no matter how many
 	// deadlines it misses — it is slow, not dead. Default 2.
 	StallChecks int
-	// AckGrace is how long the master waits for a dying incarnation to
-	// acknowledge the stop order before postponing the respawn to the next
-	// round boundary. Default 250ms.
-	AckGrace time.Duration
 }
 
 // WithDefaults fills unset fields with the documented defaults.
@@ -75,9 +75,6 @@ func (p Policy) WithDefaults() Policy {
 	}
 	if p.StallChecks <= 0 {
 		p.StallChecks = 2
-	}
-	if p.AckGrace <= 0 {
-		p.AckGrace = 250 * time.Millisecond
 	}
 	return p
 }
@@ -131,7 +128,6 @@ func (p Progress) String() string {
 type nodeState struct {
 	restarts     int       // restarts already performed
 	backoffUntil time.Time // earliest allowed respawn after the latest death
-	stopSent     bool      // stop/ack handshake in flight
 	watermark    int64     // last progress watermark seen by the watchdog
 	frozen       int       // consecutive frozen watchdog checks
 	jr           *rng.Rand // per-node jitter stream (order-independent draws)
@@ -156,9 +152,6 @@ func New(pol Policy, n int, seed uint64) *Supervisor {
 	}
 	return s
 }
-
-// Policy returns the effective (defaulted) policy.
-func (s *Supervisor) Policy() Policy { return s.pol }
 
 // OnDeath records that node died at now: the next respawn may happen no
 // earlier than now plus the node's current backoff. Calling it for a node
@@ -223,19 +216,11 @@ func (s *Supervisor) NextDue(dead []int) (time.Time, bool) {
 	return best, found
 }
 
-// MarkStopSent records that the stop order for node's dying incarnation has
-// been sent; it must not be re-sent while the handshake is pending.
-func (s *Supervisor) MarkStopSent(node int) { s.nodes[node].stopSent = true }
-
-// StopSent reports whether the stop/ack handshake for node is in flight.
-func (s *Supervisor) StopSent(node int) bool { return s.nodes[node].stopSent }
-
 // OnRestart consumes one unit of node's restart budget and resets the
-// handshake and watchdog state for the fresh incarnation.
+// watchdog state for the fresh incarnation.
 func (s *Supervisor) OnRestart(node int, watermark int64) {
 	st := &s.nodes[node]
 	st.restarts++
-	st.stopSent = false
 	st.watermark = watermark
 	st.frozen = 0
 }

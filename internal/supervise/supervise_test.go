@@ -9,7 +9,7 @@ func TestPolicyDefaultsAndValidate(t *testing.T) {
 	p := Policy{}.WithDefaults()
 	if p.MaxRestarts != 3 || p.BaseBackoff != 100*time.Millisecond ||
 		p.MaxBackoff != 5*time.Second || p.Jitter != 0.2 ||
-		p.StallChecks != 2 || p.AckGrace != 250*time.Millisecond {
+		p.StallChecks != 2 {
 		t.Fatalf("unexpected defaults: %+v", p)
 	}
 	if err := p.Validate(); err != nil {
@@ -187,19 +187,9 @@ func TestWatchdogObserve(t *testing.T) {
 	}
 }
 
-func TestStopHandshakeFlags(t *testing.T) {
+func TestOnRestartRecordsWatermark(t *testing.T) {
 	s := New(Policy{}, 2, 1)
-	if s.StopSent(0) {
-		t.Fatal("stop pending before MarkStopSent")
-	}
-	s.MarkStopSent(0)
-	if !s.StopSent(0) || s.StopSent(1) {
-		t.Fatal("stop flag misrouted")
-	}
 	s.OnRestart(0, 7)
-	if s.StopSent(0) {
-		t.Fatal("stop flag survived restart")
-	}
 	if got := s.Observe(0, 7); got != Frozen {
 		t.Fatalf("restart watermark not recorded: %v", got)
 	}

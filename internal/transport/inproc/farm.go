@@ -23,10 +23,10 @@
 //
 // The paper's master–slave scheme is synchronous and centralized; the
 // decentralized asynchronous extension polls with TryRecv. Both are
-// supported, and RecvTimeout supports masters that must survive slaves that
-// never report. Metric families keep the historical `farm_` prefix: the
-// package moved under internal/transport, but recorded telemetry is an
-// external contract.
+// supported, and RecvTimeout tells the master when nothing more can arrive,
+// so a rendezvous survives lost replies without waiting on a clock. Metric
+// families keep the historical `farm_` prefix: the package moved under
+// internal/transport, but recorded telemetry is an external contract.
 package inproc
 
 import (
@@ -169,6 +169,11 @@ type Farm struct {
 	sent     []int64 // per-node send count, for CrashAt accounting
 	crashAt  []int64 // per-node send budget copied from the plan; -1 = none (cleared by Revive)
 
+	// busy counts the messages queued for slaves plus the slaves holding one
+	// (see mark); quiescence is busy == 0.
+	busy    int
+	holding []bool
+
 	// Metric handles, all nil unless WithMetrics installed a registry. The
 	// counters mirror the atomic Stats counters exactly; the histogram and
 	// the per-node mailbox depth gauges are delivery-side telemetry that a
@@ -231,6 +236,7 @@ func New(n int, opts ...Option) *Farm {
 		boxCap:   1024,
 		linkMsgs: make(map[[2]int]int64),
 		sent:     make([]int64, n),
+		holding:  make([]bool, n),
 	}
 	for _, o := range opts {
 		o(f)
@@ -342,6 +348,9 @@ func (f *Farm) send(from, to int, tag string, payload any, size int, control boo
 		f.mBytes.Add(int64(size))
 		f.mu.Lock()
 		f.linkMsgs[[2]int{from, to}]++
+		if to != 0 {
+			f.busy++ // counted before a receiver can take it
+		}
 		f.mu.Unlock()
 		f.boxes[to].put(e)
 	}
@@ -366,30 +375,41 @@ func (f *Farm) Recv(node int) transport.Message {
 	return m
 }
 
-// RecvTimeout waits up to d for a message to ARRIVE for node. It returns
-// ok=false when nothing arrived within d. Once a message has arrived, the
-// remaining injected delivery delay is waited out even if it overruns d —
-// the timeout bounds silence, not slowness, which is what a rendezvous
-// deadline needs to distinguish a dead slave from a slow link.
+// RecvTimeout waits for a message to ARRIVE for node. For node 0, the
+// master, it returns ok=false exactly when nothing more can arrive — no
+// message is queued for a slave (due or not), no slave holds one and node
+// 0's mailbox is empty — and never because d elapsed. For other nodes d
+// bounds the silence. Once a message has arrived, the remaining injected
+// delivery delay is waited out: the wait bounds silence, not slowness.
 func (f *Farm) RecvTimeout(node int, d time.Duration) (transport.Message, bool) {
 	return f.recv(node, d)
 }
 
 // recv waits for the next message; d < 0 means wait forever.
 func (f *Farm) recv(node int, d time.Duration) (transport.Message, bool) {
+	f.mark(node, false)
 	box := f.boxes[node]
 	var timer *time.Timer
-	if d >= 0 {
+	if d >= 0 && node != 0 {
 		timer = time.NewTimer(d)
 		defer timer.Stop()
 	}
 	for {
+		// Read the count before the mailbox: a slave queues its reply before
+		// it receives again, so at zero every reply is already in the box.
+		f.mu.Lock()
+		quiet := d >= 0 && node == 0 && f.busy == 0
+		f.mu.Unlock()
 		if e, ok := box.pop(false); ok {
+			f.mark(node, true)
 			if wait := time.Until(e.deliverAt); wait > 0 {
 				time.Sleep(wait)
 			}
 			f.observeDelivery(e)
 			return e.msg, true
+		}
+		if quiet {
+			return transport.Message{}, false
 		}
 		if timer != nil {
 			select {
@@ -407,11 +427,38 @@ func (f *Farm) recv(node int, d time.Duration) (transport.Message, bool) {
 // mailbox is empty or its head has not reached its delivery time yet. The
 // asynchronous scheme polls with it between moves.
 func (f *Farm) TryRecv(node int) (transport.Message, bool) {
+	f.mark(node, false)
 	e, ok := f.boxes[node].pop(true)
 	if ok {
+		f.mark(node, true)
 		f.observeDelivery(e)
 	}
 	return e.msg, ok
+}
+
+// mark records whether slave node holds a message: it takes one off its queue
+// (still counted, now as held) and lets it go when it next calls a receive,
+// or when Revive replaces it — a node that exited on a stop order stays busy
+// until then. Node 0, the master, is never counted.
+func (f *Farm) mark(node int, holds bool) {
+	if node == 0 {
+		return
+	}
+	f.mu.Lock()
+	if f.holding[node] && !holds {
+		f.settle(1)
+	}
+	f.holding[node] = holds
+	f.mu.Unlock()
+}
+
+// settle uncounts k messages and wakes node 0 when the farm falls quiet.
+// Callers hold f.mu.
+func (f *Farm) settle(k int) {
+	f.busy -= k
+	if f.busy == 0 {
+		f.boxes[0].signal()
+	}
 }
 
 // observeDelivery records the send-to-receive latency of a delivered message.
@@ -428,10 +475,16 @@ func (f *Farm) Drain(node int) int {
 	count := 0
 	for {
 		if _, ok := f.boxes[node].pop(false); !ok {
-			return count
+			break
 		}
 		count++
 	}
+	if node != 0 {
+		f.mu.Lock()
+		f.settle(count)
+		f.mu.Unlock()
+	}
+	return count
 }
 
 // Crashed reports whether node's sends are currently being swallowed by a
@@ -450,10 +503,11 @@ func (f *Farm) Crashed(node int) bool {
 }
 
 // Revive re-registers a node whose process was replaced by the supervisor:
-// the mailbox is drained of stale orders (returned as the count), the send
-// counter restarts, and the node's crash-after-k fault is cleared — the
-// replacement process gets a working link, while drop/dup/slowdown faults on
-// its links keep applying from the plan. The caller must ensure the previous
+// the mailbox is drained of stale orders (returned as the count), the
+// previous incarnation's hold on its last message ends, the send counter
+// restarts, and the node's crash-after-k fault is cleared — the replacement
+// process gets a working link, while drop/dup/slowdown faults on its links
+// keep applying from the plan. The caller must ensure the previous
 // incarnation has stopped receiving on the node before calling Revive, or
 // the drain races with it.
 func (f *Farm) Revive(node int) int {
@@ -466,6 +520,7 @@ func (f *Farm) Revive(node int) int {
 		f.crashAt[node] = -1
 	}
 	f.mu.Unlock()
+	f.mark(node, false)
 	return f.Drain(node)
 }
 

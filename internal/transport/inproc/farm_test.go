@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/transport"
 )
 
 func TestSendRecv(t *testing.T) {
@@ -382,4 +384,119 @@ func TestRevivePanicsOutOfRange(t *testing.T) {
 		}
 	}()
 	New(2).Revive(-1)
+}
+
+// masterWait starts node 0's RecvTimeout with d = 1 h, so within a test only
+// the quiescence rule can end it empty-handed: a return because d elapsed
+// would hang the test instead of passing it.
+func masterWait(f *Farm) <-chan bool {
+	ch := make(chan bool, 1)
+	go func() {
+		_, ok := f.RecvTimeout(0, time.Hour)
+		ch <- ok
+	}()
+	return ch
+}
+
+func mustBlock(t *testing.T, ch <-chan bool, what string) {
+	t.Helper()
+	select {
+	case ok := <-ch:
+		t.Fatalf("%s: RecvTimeout(0) returned ok=%v", what, ok)
+	case <-time.After(50 * time.Millisecond):
+	}
+}
+
+func mustReturn(t *testing.T, ch <-chan bool, want bool, what string) {
+	t.Helper()
+	select {
+	case ok := <-ch:
+		if ok != want {
+			t.Fatalf("%s: RecvTimeout(0) ok=%v, want %v", what, ok, want)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s: RecvTimeout(0) still blocked", what)
+	}
+}
+
+// slaveRecv runs one Recv for node on a goroutine and hands back the message.
+func slaveRecv(f *Farm, node int) <-chan transport.Message {
+	ch := make(chan transport.Message, 1)
+	go func() { ch <- f.Recv(node) }()
+	return ch
+}
+
+func TestQuiescenceIdleFarm(t *testing.T) {
+	mustReturn(t, masterWait(New(3)), false, "idle farm")
+}
+
+// TestQuiescenceHeldAndQueued: the master's wait outlasts a queued order and
+// a slave working on one, delivers the reply, and ends once the slave is
+// back in Recv.
+func TestQuiescenceHeldAndQueued(t *testing.T) {
+	f := New(2)
+	defer f.SendControl(0, 1, "stop", nil, 0)
+	f.Send(0, 1, "order", nil, 1)
+	wait := masterWait(f)
+	mustBlock(t, wait, "order queued for a slave")
+	if m := <-slaveRecv(f, 1); m.Tag != "order" {
+		t.Fatalf("slave took %+v", m)
+	}
+	mustBlock(t, wait, "slave holds the order")
+	f.Send(1, 0, "reply", nil, 1)
+	mustReturn(t, wait, true, "reply sent")
+	wait = masterWait(f)
+	mustBlock(t, wait, "slave still holds the order after replying")
+	slaveRecv(f, 1)
+	mustReturn(t, wait, false, "slave back in Recv")
+}
+
+// TestQuiescenceNotYetDue: an order whose injected latency has not elapsed
+// is still on its way, however long that takes.
+func TestQuiescenceNotYetDue(t *testing.T) {
+	f := New(2, WithLatency(time.Hour))
+	f.Send(0, 1, "order", nil, 1)
+	wait := masterWait(f)
+	mustBlock(t, wait, "order not yet due")
+	if n := f.Drain(1); n != 1 {
+		t.Fatalf("Drain = %d, want 1", n)
+	}
+	mustReturn(t, wait, false, "order drained")
+}
+
+// TestQuiescenceSwallowedReply: a reply lost to a drop or a crashed sender
+// never arrives, and the wait ends as soon as the slave is back in Recv.
+func TestQuiescenceSwallowedReply(t *testing.T) {
+	for name, plan := range map[string]*FaultPlan{
+		"dropped": {Seed: 1, DropRate: 1},
+		"crashed": {Seed: 1, CrashAt: map[int]int64{1: 0}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			f := New(2, WithFaults(plan))
+			defer f.SendControl(0, 1, "stop", nil, 0)
+			f.SendControl(0, 1, "order", nil, 1) // the order itself must get through
+			<-slaveRecv(f, 1)
+			wait := masterWait(f)
+			mustBlock(t, wait, "slave holds the order")
+			f.Send(1, 0, "reply", nil, 1)
+			mustBlock(t, wait, "reply swallowed, slave not yet back")
+			slaveRecv(f, 1)
+			mustReturn(t, wait, false, "slave back in Recv")
+			if s := f.Stats(); s.Dropped != 1 {
+				t.Fatalf("Dropped = %d, want 1", s.Dropped)
+			}
+		})
+	}
+}
+
+// TestQuiescenceStoppedUntilRevive: a slave that took a stop order and exited
+// never returns to Recv, so it counts as busy until Revive replaces it.
+func TestQuiescenceStoppedUntilRevive(t *testing.T) {
+	f := New(3)
+	f.SendControl(0, 2, "stop", nil, 0)
+	<-slaveRecv(f, 2) // the incarnation exits without receiving again
+	wait := masterWait(f)
+	mustBlock(t, wait, "stopped node not revived")
+	f.Revive(2)
+	mustReturn(t, wait, false, "stopped node revived")
 }

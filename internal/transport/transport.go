@@ -51,10 +51,12 @@ type Transport interface {
 	SendControl(from, to int, tag string, payload any, size int) error
 	// Recv blocks until a message for node arrives and is due.
 	Recv(node int) Message
-	// RecvTimeout waits up to d for a message to ARRIVE for node; ok=false
-	// when nothing arrived within d. The timeout bounds silence, not
-	// slowness: a message that arrived in time is delivered even if its
-	// remaining injected delay overruns d.
+	// RecvTimeout waits for a message to ARRIVE for node; ok=false ends the
+	// wait empty-handed. The in-process farm returns it for node 0 exactly
+	// when nothing more can arrive, never because d elapsed (other nodes wait
+	// up to d); a wire fleet, which cannot see remote work, returns it once d
+	// has passed in silence. The wait bounds silence, not slowness: a message
+	// that arrived is delivered even if its injected delay overruns d.
 	RecvTimeout(node int, d time.Duration) (Message, bool)
 	// TryRecv returns a pending due message without blocking.
 	TryRecv(node int) (Message, bool)
