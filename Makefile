@@ -133,11 +133,13 @@ crash-resume:
 # elastic runs the membership suites under the race detector: the fleet
 # join/leave/crash-classification tests, the codec tests for the elastic
 # frames (fuzz seeds included), the churn/equivalence battery in core, and
-# the serve-layer fleet pool grow/shrink tests.
+# the serve-layer fleet pool grow/shrink tests; then the straggler steal test
+# five times over, since a steal races a wall-clock deadline.
 elastic:
 	$(GO) test -race ./internal/transport/proto ./internal/transport/wire
 	$(GO) test -race -run 'Elastic|Absorb|Steal|Gossip' ./internal/core
 	$(GO) test -race -run 'Fleet' ./internal/serve
+	$(GO) test -race -count=5 -run '^TestElasticStealStraggler$$' ./internal/core
 
 # elastic-smoke boots an elastic mkpsolve master and 64 real mkpworker -join
 # processes (8 leaving early, 8 joining late), verifies the churned run's

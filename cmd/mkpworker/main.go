@@ -125,8 +125,9 @@ func joinLoop(addr, name string, leaveAfter int, rejoin, forge bool) error {
 }
 
 // joinFleet runs one elastic membership to completion: dial, join, serve the
-// elastic slave loop (gossip absorption, steal offers, optional graceful
-// leave), exit when the run stops or the leave budget drains.
+// slave loop (gossip absorption, optional graceful leave), exit when the run
+// stops or the leave budget drains. The member sends nothing to ask for
+// work: once its own result is in, the master may lend it a straggler's slot.
 func joinFleet(addr, name string, leaveAfter int, forge bool) error {
 	sess, hello, err := wire.JoinFleet(addr, name, nil, wire.WithDialTimeout(5*time.Second))
 	if err != nil {

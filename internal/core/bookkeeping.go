@@ -88,3 +88,21 @@ func (t *slaveTable) growTo(p int) {
 		t.admitted = append(t.admitted, false)
 	}
 }
+
+// seat fills slot's row for a member entering the run — at static start-up,
+// in the elastic cohort's assembly or as a mid-run admission: the given
+// strategy (running the portfolio's algorithm for the slot) and start, the
+// configured initial score and tuning knobs, cleared counters, and live.
+func (t *slaveTable) seat(slot int, strategy tabu.Strategy, start mkp.Solution, opts *Options) {
+	strategy.Algo = algoAt(opts.Portfolio, slot)
+	t.strategies[slot] = strategy
+	t.starts[slot] = start
+	t.scores[slot] = opts.InitialScore
+	t.modes[slot] = opts.Base.Intensify
+	t.noises[slot] = opts.Base.AddNoise
+	t.widths[slot] = opts.Base.CandWidth
+	t.stagnation[slot] = 0
+	t.nodeFail[slot] = 0
+	t.alive[slot] = true
+	t.admitted[slot] = true
+}

@@ -30,7 +30,7 @@ type lifecycle interface {
 // re-dispatches lost rounds and feeds the watchdog.
 type collector struct {
 	*slaveTable
-	net   transport.Transport
+	net   transport.Hub
 	ins   *mkp.Instance
 	opts  *Options
 	stats *Stats
@@ -38,7 +38,7 @@ type collector struct {
 	disp  *dispatcher
 	life  lifecycle
 	heal  *healer     // nil unless supervised: watchdog observations
-	rec   *reconciler // nil unless elastic: membership, steal and gossip state
+	rec   *reconciler // nil unless elastic: membership and gossip state; steals only happen then
 	best  *mkp.Solution
 
 	// timed is set on a wire fleet, where a death is only silence: waits end
@@ -90,11 +90,12 @@ const deadAfterMisses = 3
 // arrive, on a wire fleet when the deadline passes. Each pending slot is then
 // re-dispatched — first to its own slave (the loss may have been a dropped
 // message), then to a live slave that has already reported this round — and
-// abandoned once MaxRedispatch re-sends are spent. A node that stays silent
-// deadAfterMisses rounds in a row is declared dead, as is one that reports an
-// error; an error also abandons that slot's round. Traffic is attributed to
-// the sender the transport stamped (Message.From), never to the node a
-// payload names.
+// abandoned once MaxRedispatch re-sends are spent. On an elastic fleet a
+// straggler's slot is also stolen before the deadline, lent early to a node
+// that has already reported. A node that stays silent deadAfterMisses rounds
+// in a row is declared dead, as is one that reports an error; an error also
+// abandons that slot's round. Traffic is attributed to the sender the
+// transport stamped (Message.From), never to the node a payload names.
 func (c *collector) collect(round int, budgets []int64, results []*tabu.Result) bool {
 	const (
 		pending = iota
@@ -102,15 +103,11 @@ func (c *collector) collect(round int, budgets []int64, results []*tabu.Result) 
 		abandoned
 	)
 	p := c.size()
-	if c.rec != nil {
-		c.rec.resetRound(round)
-	}
 	state := make([]int, p)
 	attempts := make([]int, p)  // re-sends spent per slot this round
 	assigned := make([]int, p)  // node currently responsible for each slot
 	timedOut := make([]bool, p) // node already charged a miss this round
-	stolen := make([]bool, p)   // slot already handed to a thief this round
-	var finished []int          // nodes that reported this round, ascending (borrow candidates)
+	var finished []int          // nodes that reported a pending slot this round, ascending (borrow candidates)
 	borrow := 0
 	outstanding := 0
 	var maxBudget int64
@@ -138,36 +135,54 @@ func (c *collector) collect(round int, budgets []int64, results []*tabu.Result) 
 	// half the rendezvous deadline: early enough that a thief's re-run can
 	// beat the deadline, late enough that a healthy slot (deadlines are 4×
 	// the measured cost) is never stolen and the no-churn run stays
-	// equivalent to the static one. Thieves exist only on an elastic fleet.
+	// equivalent to the static one. A steal is an early borrow: the thief is
+	// the first node in finished that is live, is not the slot's node and
+	// holds no stolen order it has not answered yet. Only an elastic fleet
+	// steals.
 	stealAfter := c.timeoutFor(maxBudget) / 2
+	thiefOf := make([]int, p)  // per slot: the node holding its stolen order, 0 if none
+	robbing := make([]bool, p) // per node index: holds a stolen order not yet answered
+	thief := func(victim int) int {
+		for _, n := range finished {
+			if n != victim && c.alive[n-1] && !robbing[n-1] {
+				return n
+			}
+		}
+		return 0
+	}
+	// stealable returns the thief for slot s and when it may steal: a
+	// pending, unstolen slot is stealable from its dispatch plus stealAfter.
+	// n is 0 while the slot cannot be stolen.
+	stealable := func(s int) (at time.Time, n int) {
+		at = c.disp.dispatchedAt[s]
+		if c.rec == nil || state[s] != pending || thiefOf[s] != 0 || at.IsZero() {
+			return at, 0
+		}
+		return at.Add(stealAfter), thief(assigned[s])
+	}
 	trySteal := func() {
-		if c.rec == nil || c.rec.thiefCount() == 0 {
+		if c.rec == nil {
 			return
 		}
 		now := time.Now()
 		for s := 0; s < p; s++ {
-			if state[s] != pending || stolen[s] {
+			at, n := stealable(s)
+			if n == 0 || now.Before(at) {
 				continue
-			}
-			if c.disp.dispatchedAt[s].IsZero() || now.Sub(c.disp.dispatchedAt[s]) < stealAfter {
-				continue
-			}
-			thief, ok := c.rec.takeThief(assigned[s])
-			if !ok {
-				return
 			}
 			// assigned[s] stays the original node: the victim still owns the
 			// miss if nobody delivers, and first result wins either way.
-			if err := c.disp.dispatch(s, thief, round, budgets[s]); err != nil {
+			if err := c.disp.dispatch(s, n, round, budgets[s]); err != nil {
 				continue
 			}
-			stolen[s] = true
+			thiefOf[s] = n
+			robbing[n-1] = true
 			c.stats.Steals++
 			c.mx.steals.Inc()
 			if c.opts.Tracer != nil {
 				c.opts.Tracer.Record(trace.Event{
 					Kind: trace.KindSteal, Actor: -1, Round: round, Value: c.best.Value,
-					Detail: fmt.Sprintf("slot=%d thief=%d victim=%d", s, thief, assigned[s]),
+					Detail: fmt.Sprintf("slot=%d thief=%d victim=%d", s, n, assigned[s]),
 				})
 			}
 		}
@@ -193,19 +208,12 @@ func (c *collector) collect(round int, budgets []int64, results []*tabu.Result) 
 		if c.timed {
 			wait = time.Until(deadline)
 			poll = max(wait, 0)
-			// With thieves queued, wake at the earliest moment a pending
-			// slot becomes stealable instead of sleeping out the deadline.
-			if c.rec != nil && c.rec.thiefCount() > 0 {
-				now := time.Now()
-				for s := 0; s < p; s++ {
-					if state[s] != pending || stolen[s] || c.disp.dispatchedAt[s].IsZero() {
-						continue
-					}
-					if d := c.disp.dispatchedAt[s].Add(stealAfter).Sub(now); d < poll {
-						poll = d
-					}
+			// Wake at the earliest moment a pending slot becomes stealable
+			// instead of sleeping out the deadline.
+			for s := 0; s < p; s++ {
+				if at, n := stealable(s); n != 0 {
+					poll = max(min(poll, time.Until(at)), time.Millisecond)
 				}
-				poll = max(poll, time.Millisecond)
 			}
 		}
 		msg, ok := c.net.RecvTimeout(0, poll)
@@ -267,12 +275,6 @@ func (c *collector) collect(round int, budgets []int64, results []*tabu.Result) 
 					c.life.resultRejected(from-1, round, "gossip: "+reason)
 				}
 			}
-		case proto.Steal:
-			if c.rec != nil {
-				c.checkIdentity(from, pl.Node, round)
-				c.rec.noteSteal(from, pl.Round)
-				trySteal()
-			}
 		case proto.Result:
 			rep := pl
 			c.checkIdentity(from, rep.Node, round)
@@ -297,7 +299,11 @@ func (c *collector) collect(round int, budgets []int64, results []*tabu.Result) 
 				c.life.resultRejected(from-1, round, fmt.Sprintf("slot %d out of range", rep.Slot))
 				continue
 			}
+			if thiefOf[rep.Slot] == from {
+				robbing[from-1] = false // the thief answered: free to steal again
+			}
 			if state[rep.Slot] != pending {
+				trySteal()
 				continue // duplicate, or already-abandoned slot
 			}
 			if reason := c.vetResult(rep); reason != "" {
@@ -338,6 +344,7 @@ func (c *collector) collect(round int, budgets []int64, results []*tabu.Result) 
 					c.perMove = per
 				}
 			}
+			trySteal()
 		default:
 			// heartbeat, a late stop ack, or other non-rendezvous traffic
 		}

@@ -15,7 +15,7 @@ import (
 // table, where to send it from the caller.
 type dispatcher struct {
 	*slaveTable
-	net  transport.Transport
+	net  transport.Hub
 	ins  *mkp.Instance
 	opts *Options
 	mx   *masterMetrics

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/mkp"
 	"repro/internal/rng"
+	"repro/internal/transport"
 	"repro/internal/transport/inproc"
 	"repro/internal/transport/proto"
 	"repro/internal/transport/wire"
@@ -231,6 +232,73 @@ func TestElasticChurn(t *testing.T) {
 	}
 	if !waitUntil(5*time.Second, func() bool { return countFDs(t) <= fdsBefore }) {
 		t.Fatalf("churn leaked fds: %d open, started with %d", countFDs(t), fdsBefore)
+	}
+}
+
+// slowOrders holds up every round order from round `from` on: a member whose
+// host has fallen behind, which the master sees as a slot that stays
+// outstanding long after its peers have reported.
+type slowOrders struct {
+	*wire.Session
+	from  int
+	delay time.Duration
+}
+
+func (s slowOrders) Recv(node int) transport.Message {
+	msg := s.Session.Recv(node)
+	if start, ok := msg.Payload.(proto.Start); ok && start.Round >= s.from {
+		time.Sleep(s.delay)
+	}
+	return msg
+}
+
+// TestElasticStealStraggler: on an elastic fleet of two, one member's orders
+// are held up 600 ms from round 2 on. The other member, idle once its own
+// round is in, is handed the straggler's slot after it has been outstanding
+// for half the rendezvous deadline, so every round completes before the
+// deadline and nobody is declared dead.
+func TestElasticStealStraggler(t *testing.T) {
+	ins := testInstance(60, 5, 404)
+	opts := Options{
+		P: 2, Seed: 21, Rounds: 6, RoundMoves: 200,
+		SlaveTimeout: 3 * time.Second,
+		Elastic:      &ElasticConfig{Listen: "127.0.0.1:0", Min: 2, JoinGrace: 20 * time.Second},
+	}
+	e, err := NewEngine(ins, CTS2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	joinElasticWorker(t, e.FleetAddr(), "honest", ElasticOptions{})
+	s, hello, err := wire.JoinFleet(e.FleetAddr(), "straggler", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		defer s.Close()
+		ElasticSlave(slowOrders{Session: s, from: 2, delay: 600 * time.Millisecond},
+			hello.Node, hello.Ins, hello.Seed, ElasticOptions{})
+	}()
+
+	res, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("steals=%d messages=%d", res.Stats.Steals, res.Stats.Messages)
+	if res.Stats.Steals < 1 {
+		t.Fatal("no straggler slot was stolen")
+	}
+	if res.Stats.Rounds != opts.Rounds {
+		t.Fatalf("run ended after %d rounds, want %d", res.Stats.Rounds, opts.Rounds)
+	}
+	if res.Stats.DeadSlaves != 0 {
+		t.Fatalf("DeadSlaves = %d, want 0: the thief should have beaten every deadline", res.Stats.DeadSlaves)
+	}
+	if !mkp.IsFeasibleAssignment(ins, res.Best.X) {
+		t.Fatal("steal run produced infeasible best")
+	}
+	if got := mkp.ValueOf(ins, res.Best.X); got != res.Best.Value {
+		t.Fatalf("steal run best reports %.0f but evaluates to %.0f", res.Best.Value, got)
 	}
 }
 

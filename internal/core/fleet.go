@@ -22,7 +22,7 @@ import (
 // deadAfterMisses rounds of silence), and admits queued joiners into fresh
 // slots while live membership is below the desired size. It also owns the
 // fleet epoch — bumped on every membership change and every global-best
-// broadcast — and the per-round steal/gossip state the collector feeds.
+// broadcast — and the round's donated-solution state the collector feeds.
 type reconciler struct {
 	*slaveTable
 	fleet *wire.Fleet
@@ -45,11 +45,7 @@ type reconciler struct {
 
 	epoch        uint64
 	pendingJoins []int
-
-	// Per-rendezvous state, reset by resetRound.
-	stealRound int
-	thieves    []int        // nodes that drained their budget and offered to steal
-	gossip     mkp.Solution // best validated worker-donated solution this round
+	gossip       mkp.Solution // best validated worker-donated solution this round, cleared by foldGossip
 }
 
 // elasticSeed is the searcher seed for nodes beyond the pre-split desired-P
@@ -98,11 +94,7 @@ func (rc *reconciler) assemble() error {
 			continue
 		}
 		rc.growSlot(node)
-		slot := node - 1
-		rc.strategies[slot] = tabu.RandomStrategy(rc.ins.N, rc.masterR)
-		rc.strategies[slot].Algo = algoAt(rc.opts.Portfolio, slot)
-		rc.starts[slot] = mkp.RandomFeasible(rc.ins, rc.masterR)
-		rc.activate(slot)
+		rc.seat(node-1, tabu.RandomStrategy(rc.ins.N, rc.masterR), mkp.RandomFeasible(rc.ins, rc.masterR), rc.opts)
 		admitted++
 	}
 	rc.pendingJoins = queued
@@ -133,18 +125,6 @@ func (rc *reconciler) growSlot(node int) {
 	for len(rc.disp.dispatchedAt) < node {
 		rc.disp.dispatchedAt = append(rc.disp.dispatchedAt, time.Time{})
 	}
-}
-
-// activate fills a freshly grown slot's non-random columns and marks it live.
-func (rc *reconciler) activate(slot int) {
-	rc.scores[slot] = rc.opts.InitialScore
-	rc.modes[slot] = rc.opts.Base.Intensify
-	rc.noises[slot] = rc.opts.Base.AddNoise
-	rc.widths[slot] = rc.opts.Base.CandWidth
-	rc.stagnation[slot] = 0
-	rc.nodeFail[slot] = 0
-	rc.alive[slot] = true
-	rc.admitted[slot] = true
 }
 
 // reconcile runs the fleet-level healing pass at a round boundary: sync the
@@ -186,11 +166,7 @@ func (rc *reconciler) reconcile(round int) {
 // and a Gossip carrying the incumbent under the freshly bumped epoch.
 func (rc *reconciler) admit(node, round int) {
 	rc.growSlot(node)
-	slot := node - 1
-	rc.strategies[slot] = tabu.RandomStrategy(rc.ins.N, rc.elasticR)
-	rc.strategies[slot].Algo = algoAt(rc.opts.Portfolio, slot)
-	rc.starts[slot] = rc.best.Clone()
-	rc.activate(slot)
+	rc.seat(node-1, tabu.RandomStrategy(rc.ins.N, rc.elasticR), rc.best.Clone(), rc.opts)
 	rc.stats.Joins++
 	rc.mx.joins.Inc()
 	rc.bumpEpoch()
@@ -256,42 +232,6 @@ func (rc *reconciler) awaitJoin(round int) bool {
 		}
 		time.Sleep(wait)
 	}
-}
-
-// resetRound clears the per-rendezvous steal and gossip state.
-func (rc *reconciler) resetRound(round int) {
-	rc.stealRound = round
-	rc.thieves = rc.thieves[:0]
-	rc.gossip = mkp.Solution{}
-}
-
-// noteSteal queues node's offer to steal work in round. Stale rounds and
-// unknown or dead nodes are dropped: a steal is only honored from a live
-// member's current round.
-func (rc *reconciler) noteSteal(node, round int) {
-	if round != rc.stealRound {
-		return
-	}
-	slot := node - 1
-	if slot < 0 || slot >= rc.size() || !rc.alive[slot] {
-		return
-	}
-	rc.thieves = append(rc.thieves, node)
-}
-
-func (rc *reconciler) thiefCount() int { return len(rc.thieves) }
-
-// takeThief pops the first queued thief that is not the excluded node and is
-// still live.
-func (rc *reconciler) takeThief(exclude int) (int, bool) {
-	for i, node := range rc.thieves {
-		if node == exclude || !rc.alive[node-1] {
-			continue
-		}
-		rc.thieves = append(rc.thieves[:i], rc.thieves[i+1:]...)
-		return node, true
-	}
-	return 0, false
 }
 
 // noteGossip validates a worker-donated solution and keeps the round's best.

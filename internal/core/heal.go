@@ -11,7 +11,7 @@ import (
 	"repro/internal/supervise"
 	"repro/internal/tabu"
 	"repro/internal/trace"
-	"repro/internal/transport"
+	"repro/internal/transport/inproc"
 	"repro/internal/transport/proto"
 )
 
@@ -23,10 +23,11 @@ import (
 // engine acting on its verdicts.
 // The component exists only when Options.Supervise is armed — the master's
 // heal field stays nil otherwise, and the collector and dispatcher check
-// for that.
+// for that. Supervision is in-process only, so the healer holds the farm
+// itself: it reads crash faults, revives links and launches respawns on it.
 type healer struct {
 	*slaveTable
-	net   transport.Transport
+	farm  *inproc.Farm
 	ins   *mkp.Instance
 	opts  *Options
 	stats *Stats
@@ -69,9 +70,9 @@ func newHealer(sv *supervise.Supervisor, p int) *healer {
 // could not, and the watchdog must see the same frozen watermark either way.
 func (h *healer) heartbeatFor(node int) func(int64) {
 	cell := h.hb[node-1]
-	net := h.net
+	farm := h.farm
 	return func(moves int64) {
-		if net.Crashed(node) {
+		if farm.Crashed(node) {
 			return
 		}
 		atomic.StoreInt64(cell, moves)
@@ -117,7 +118,7 @@ func (h *healer) superviseRound(round int) {
 		}
 		// The order rides the control plane, so even a crash-faulted node
 		// hears it.
-		h.net.SendControl(0, n+1, proto.TagStop, proto.Stop{Inc: h.inc[n], Ack: true}, 0)
+		h.farm.SendControl(0, n+1, proto.TagStop, proto.Stop{Inc: h.inc[n], Ack: true}, 0)
 		if h.awaitAck(n + 1) {
 			h.respawn(n, round)
 		}
@@ -130,7 +131,7 @@ func (h *healer) superviseRound(round int) {
 // round results, which precede the ack on the node's link, are dropped.
 func (h *healer) awaitAck(node int) bool {
 	for {
-		msg, ok := h.net.RecvTimeout(0, h.opts.SlaveTimeout)
+		msg, ok := h.farm.RecvTimeout(0, h.opts.SlaveTimeout)
 		if !ok {
 			return false
 		}
@@ -148,7 +149,7 @@ func (h *healer) awaitAck(node int) bool {
 // start is drawn from the pool too: the respawned searcher resumes from the
 // farm's collective frontier, not from scratch.
 func (h *healer) respawn(n, round int) {
-	drained := h.net.Revive(n + 1)
+	drained := h.farm.Revive(n + 1)
 	h.inc[n]++
 	h.sv.OnRestart(n, 0)
 	h.hb[n] = new(int64)
@@ -160,7 +161,7 @@ func (h *healer) respawn(n, round int) {
 	// rng.New(seed).Uint64() reproduces the draw the pre-refactor respawn
 	// made when it handed the slave a *rng.Rand: the searcher seed chain is
 	// unchanged across the transport refactor.
-	go slaveLoop(h.net, n+1, h.ins, rng.New(seed).Uint64(), h.inc[n], h.warmFor(n))
+	go slaveLoop(h.farm, n+1, h.ins, rng.New(seed).Uint64(), h.inc[n], h.warmFor(n), 0)
 	if len(h.pool) > 0 {
 		pick := (h.inc[n] - 1 + n) % len(h.pool)
 		h.starts[n] = h.pool[pick].Clone()

@@ -50,13 +50,13 @@ func Solve(ins *mkp.Instance, algo Algorithm, opts Options) (*Result, error) {
 // rendezvous), the tuner (ISP, SGP, adaptive alpha) and — when supervision is
 // armed — the healer (stop/ack handshake, warm respawn). All components share
 // the per-slave bookkeeping table by pointer and speak to the slaves only
-// through the transport.Transport seam, so the same engine drives in-process
+// through the transport.Hub seam, so the same engine drives in-process
 // goroutines and remote worker processes unchanged.
 type master struct {
 	ins  *mkp.Instance
 	algo Algorithm
 	opts Options
-	net  transport.Transport
+	net  transport.Hub
 	*slaveTable
 
 	disp  *dispatcher
@@ -85,7 +85,7 @@ type master struct {
 // and master random stream. It performs no random initialization and launches
 // no slaves — newMaster does that; tests use newEngine directly to build a
 // bare engine with hand-picked state.
-func newEngine(ins *mkp.Instance, algo Algorithm, opts Options, net transport.Transport, r *rng.Rand) *master {
+func newEngine(ins *mkp.Instance, algo Algorithm, opts Options, net transport.Hub, r *rng.Rand) *master {
 	// Elastic runs start with an EMPTY slot table: slots exist only once a
 	// joined worker is admitted into them, and the table grows append-only
 	// toward (and past, under churn) the desired size.
@@ -154,8 +154,9 @@ func newMaster(ins *mkp.Instance, algo Algorithm, opts Options) (*master, error)
 		seeds[i] = root.Split().Uint64()
 	}
 
-	var net transport.Transport
+	var net transport.Hub
 	var fleet *wire.Fleet
+	var farm *inproc.Farm
 	if len(opts.Workers) > 0 || opts.Elastic != nil {
 		// A wire fleet: dialed from the Workers roster, or listening for
 		// joiners. Either way the handshake ships each worker its node id,
@@ -202,7 +203,8 @@ func newMaster(ins *mkp.Instance, algo Algorithm, opts Options) (*master, error)
 		if opts.Metrics != nil {
 			farmOpts = append(farmOpts, inproc.WithMetrics(opts.Metrics))
 		}
-		net = inproc.New(opts.P+1, farmOpts...)
+		farm = inproc.New(opts.P+1, farmOpts...)
+		net = farm
 	}
 
 	m := newEngine(ins, algo, opts, net, r)
@@ -254,19 +256,12 @@ func newMaster(ins *mkp.Instance, algo Algorithm, opts Options) (*master, error)
 	// against the cohort that actually joined).
 	if opts.Elastic == nil {
 		for i := 0; i < opts.P; i++ {
-			m.strategies[i] = tabu.RandomStrategy(ins.N, r)
-			m.strategies[i].Algo = algoAt(opts.Portfolio, i)
+			strategy := tabu.RandomStrategy(ins.N, r)
 			if m.guide != nil && m.guide.active() {
-				m.starts[i] = m.guide.start(r, 4)
+				m.seat(i, strategy, m.guide.start(r, 4), &m.opts)
 			} else {
-				m.starts[i] = mkp.RandomFeasible(ins, r)
+				m.seat(i, strategy, mkp.RandomFeasible(ins, r), &m.opts)
 			}
-			m.scores[i] = opts.InitialScore
-			m.modes[i] = opts.Base.Intensify
-			m.noises[i] = opts.Base.AddNoise
-			m.widths[i] = opts.Base.CandWidth
-			m.alive[i] = true
-			m.admitted[i] = true
 		}
 		m.best = m.starts[0].Clone()
 		for i := 1; i < opts.P; i++ {
@@ -290,9 +285,9 @@ func newMaster(ins *mkp.Instance, algo Algorithm, opts Options) (*master, error)
 	// the instance pointer is shared read-only here). Roster workers were
 	// already handed their seed and the instance during the dial handshake;
 	// elastic workers receive theirs whenever they join.
-	if fleet == nil {
+	if farm != nil {
 		for i := 0; i < opts.P; i++ {
-			go slaveLoop(net, i+1, ins, seeds[i], 0, nil)
+			go slaveLoop(farm, i+1, ins, seeds[i], 0, nil, 0)
 		}
 	}
 	// Supervision state is built only when armed, and its seed is drawn from
@@ -301,7 +296,7 @@ func newMaster(ins *mkp.Instance, algo Algorithm, opts Options) (*master, error)
 	if opts.Supervise != nil {
 		h := newHealer(supervise.New(*opts.Supervise, opts.P, root.Uint64()), opts.P)
 		h.slaveTable = m.slaveTable
-		h.net = net
+		h.farm = farm
 		h.ins = ins
 		h.opts = &m.opts
 		h.stats = &m.stats

@@ -177,11 +177,12 @@ type Options struct {
 	// never shrinks its own ambition when workers depart. Elastic runs wait
 	// on deadlines like Workers runs, with membership traffic on top:
 	// epoch-stamped global-best gossip, graceful Leave classification (a
-	// leaver is retired, never counted dead) and work stealing (an idle
-	// worker takes over a straggler's slot mid-rendezvous). A never-churning
-	// elastic fleet reaches the same final best as the Workers roster run and
-	// the in-process run at the same seed. Mutually exclusive with Workers,
-	// Faults, Supervise, Latency, Guide and Resume.
+	// leaver is retired, never counted dead) and work stealing (the master
+	// lends a straggler's slot to a worker that has already reported this
+	// round). A never-churning elastic fleet reaches the same final best as
+	// the Workers roster run and the in-process run at the same seed.
+	// Mutually exclusive with Workers, Faults, Supervise, Latency, Guide and
+	// Resume.
 	Elastic *ElasticConfig
 	// Guide, when non-nil, arms LP-guided core search: the master solves the
 	// LP relaxation once at startup, fixes variables by reduced cost against

@@ -69,7 +69,7 @@ func (s *searcherSet) run(req proto.Start) (*tabu.Result, error) {
 // after the wire handshake handed it its node number, instance and seed; the
 // in-process substrate runs the same loop as a goroutine.
 func Slave(net transport.Transport, node int, ins *mkp.Instance, seed uint64) {
-	slaveLoop(net, node, ins, seed, 0, nil)
+	slaveLoop(net, node, ins, seed, 0, nil, 0)
 }
 
 // ElasticOptions shapes a worker's behavior as a member of an elastic fleet.
@@ -80,67 +80,11 @@ type ElasticOptions struct {
 	LeaveAfter int
 }
 
-// ElasticSlave runs the slave loop for a member of an elastic fleet. On top
-// of the plain loop it absorbs epoch-stamped Gossip broadcasts (tracking the
-// fleet's best-known incumbent), offers to steal straggler work after each
-// round it finishes, and — when its LeaveAfter budget drains — donates its own
-// best solution back to the master before announcing a graceful Leave.
+// ElasticSlave runs the slave loop for a member of an elastic fleet: when its
+// LeaveAfter budget drains, it donates its own best back to the master and
+// announces a graceful Leave.
 func ElasticSlave(net transport.Transport, node int, ins *mkp.Instance, seed uint64, opts ElasticOptions) {
-	searchers, err := newSearcherSet(ins, seed, nil)
-	if err != nil {
-		net.Send(node, 0, proto.TagResult,
-			proto.Result{Slot: node - 1, Node: node, Round: -1, Err: err.Error()}, 0)
-		return
-	}
-	var (
-		epoch  uint64       // highest gossip epoch seen (regressions dropped)
-		gBest  mkp.Solution // fleet incumbent as last gossiped
-		myBest mkp.Solution // this member's own best across its rounds
-		served int
-	)
-	for {
-		msg := net.Recv(node)
-		switch msg.Tag {
-		case proto.TagStop:
-			return
-		case proto.TagGossip:
-			if g, ok := msg.Payload.(proto.Gossip); ok {
-				absorbGossip(&epoch, &gBest, g)
-			}
-		case proto.TagStart:
-			req := msg.Payload.(proto.Start)
-			res, err := searchers.run(req)
-			size := 0
-			if res != nil {
-				size = proto.SolutionSize(ins.N) * (1 + len(res.Pool))
-				if myBest.X == nil || res.Best.Value > myBest.Value {
-					myBest = res.Best.Clone()
-				}
-			}
-			errStr := ""
-			if err != nil {
-				errStr = err.Error()
-			}
-			rep := proto.Result{Slot: req.Slot, Node: node, Round: req.Round, Res: res, Err: errStr}
-			net.Send(node, 0, proto.TagResult, rep, size)
-			served++
-			if opts.LeaveAfter > 0 && served >= opts.LeaveAfter {
-				// Budget drained: rescue anything the fleet might not have
-				// yet, then leave gracefully (classified as a Leave, never a
-				// crash, by the fleet reader).
-				if myBest.X != nil && (gBest.X == nil || myBest.Value > gBest.Value) {
-					net.Send(node, 0, proto.TagGossip,
-						proto.Gossip{Epoch: epoch, Best: myBest}, proto.SolutionSize(ins.N))
-				}
-				net.SendControl(node, 0, proto.TagLeave, proto.Leave{Node: node, Reason: "budget"}, 0)
-				return
-			}
-			// Round done with budget to spare: offer to steal a straggler's
-			// work. The master only honors offers against slots that have
-			// been outstanding for half the rendezvous deadline.
-			net.SendControl(node, 0, proto.TagSteal, proto.Steal{Node: node, Round: req.Round}, 0)
-		}
-	}
+	slaveLoop(net, node, ins, seed, 0, nil, opts.LeaveAfter)
 }
 
 // absorbGossip folds an epoch-stamped gossip into a member's local view. A
@@ -159,12 +103,16 @@ func absorbGossip(epoch *uint64, best *mkp.Solution, g proto.Gossip) bool {
 	return true
 }
 
-// slaveLoop is the process each worker node runs. The report echoes the
-// order's slot and round so the master can route it to the right bookkeeping
-// entry and discard stale replies after re-dispatch. inc is this
-// incarnation's number (0 for the original process); warm, when non-nil,
-// reconstructs the predecessor's long-term memory before the first round.
-func slaveLoop(net transport.Transport, node int, ins *mkp.Instance, seed uint64, inc int, warm *warmStart) {
+// slaveLoop is the process every worker node runs: in-process, supervised
+// respawn, roster and elastic alike. The report echoes the order's slot and
+// round so the master can route it to the right bookkeeping entry and
+// discard stale replies after re-dispatch. inc is this incarnation's number
+// (0 for the original process); warm, when non-nil, reconstructs the
+// predecessor's long-term memory before the first round. Gossip from an
+// elastic master is absorbed (tracking the fleet's best-known incumbent);
+// leaveAfter, when positive, ends the loop after that many rounds with the
+// member's own best donated if the fleet may not have it, then a Leave.
+func slaveLoop(net transport.Transport, node int, ins *mkp.Instance, seed uint64, inc int, warm *warmStart, leaveAfter int) {
 	searchers, err := newSearcherSet(ins, seed, warm)
 	if err != nil {
 		// The master validated the instance; this is unreachable in normal
@@ -173,6 +121,12 @@ func slaveLoop(net transport.Transport, node int, ins *mkp.Instance, seed uint64
 			proto.Result{Slot: node - 1, Node: node, Round: -1, Err: err.Error()}, 0)
 		return
 	}
+	var (
+		epoch  uint64       // highest gossip epoch seen (regressions dropped)
+		gBest  mkp.Solution // fleet incumbent as last gossiped
+		myBest mkp.Solution // own best across rounds, kept only to donate on leaving
+		served int
+	)
 	for {
 		msg := net.Recv(node)
 		switch msg.Tag {
@@ -188,12 +142,19 @@ func slaveLoop(net transport.Transport, node int, ins *mkp.Instance, seed uint64
 				net.SendControl(node, 0, proto.TagStopped, proto.Ack{Node: node, Inc: inc}, 0)
 			}
 			return
+		case proto.TagGossip:
+			if g, ok := msg.Payload.(proto.Gossip); ok {
+				absorbGossip(&epoch, &gBest, g)
+			}
 		case proto.TagStart:
 			req := msg.Payload.(proto.Start)
 			res, err := searchers.run(req)
 			size := 0
 			if res != nil {
 				size = proto.SolutionSize(ins.N) * (1 + len(res.Pool))
+				if leaveAfter > 0 && (myBest.X == nil || res.Best.Value > myBest.Value) {
+					myBest = res.Best.Clone()
+				}
 			}
 			errStr := ""
 			if err != nil {
@@ -201,6 +162,17 @@ func slaveLoop(net transport.Transport, node int, ins *mkp.Instance, seed uint64
 			}
 			rep := proto.Result{Slot: req.Slot, Node: node, Round: req.Round, Res: res, Err: errStr}
 			net.Send(node, 0, proto.TagResult, rep, size)
+			if served++; leaveAfter > 0 && served >= leaveAfter {
+				// Budget drained: rescue anything the fleet might not have
+				// yet, then leave gracefully (classified as a Leave, never a
+				// crash, by the fleet reader).
+				if myBest.X != nil && (gBest.X == nil || myBest.Value > gBest.Value) {
+					net.Send(node, 0, proto.TagGossip,
+						proto.Gossip{Epoch: epoch, Best: myBest}, proto.SolutionSize(ins.N))
+				}
+				net.SendControl(node, 0, proto.TagLeave, proto.Leave{Node: node, Reason: "budget"}, 0)
+				return
+			}
 		}
 	}
 }

@@ -150,7 +150,9 @@ func (b *mailbox) pop(dueOnly bool) (envelope, bool) {
 }
 
 // Farm connects n nodes (0..n-1) with a full crossbar of FIFO mailboxes. It
-// implements transport.Transport.
+// is both sides of the seam: the master's transport.Hub and every slave's
+// transport.Transport. Crashed, Revive, Drain, TryRecv and Nodes are the
+// in-process extras the supervisor and the asynchronous scheme use.
 type Farm struct {
 	n       int
 	latency time.Duration

@@ -332,13 +332,6 @@ func EncodePayload(tag string, payload any, n int) ([]byte, error) {
 		}
 		dst := appendU64(nil, m.Epoch)
 		return AppendSolution(dst, m.Best, n)
-	case TagSteal:
-		m, ok := payload.(Steal)
-		if !ok {
-			return nil, fmt.Errorf("proto: %s payload is %T", tag, payload)
-		}
-		dst := appendInt(nil, m.Node)
-		return appendInt(dst, m.Round), nil
 	}
 	return nil, fmt.Errorf("proto: unknown tag %q", tag)
 }
@@ -420,12 +413,6 @@ func DecodePayload(tag string, data []byte, n int) (any, error) {
 	case TagGossip:
 		m := Gossip{Epoch: c.u64("gossip.epoch")}
 		m.Best = c.solution(n, "gossip.best")
-		if err := c.done(); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case TagSteal:
-		m := Steal{Node: c.int("steal.node"), Round: c.int("steal.round")}
 		if err := c.done(); err != nil {
 			return nil, err
 		}

@@ -104,9 +104,6 @@ func samplePayloads(n int) map[string][]any {
 			Gossip{Epoch: 42, Best: randomSolution(n, 6)},
 			Gossip{Epoch: 0, Best: randomSolution(n, 7)},
 		},
-		TagSteal: {
-			Steal{Node: 3, Round: 17},
-		},
 	}
 }
 
@@ -184,8 +181,6 @@ func TestPayloadRoundTrip(t *testing.T) {
 			case Gossip:
 				got := back.(Gossip)
 				same = got.Epoch == want.Epoch && equalSolutions(got.Best, want.Best)
-			case Steal:
-				same = back.(Steal) == want
 			}
 			if !same {
 				t.Fatalf("%s[%d]: round trip changed payload:\n  sent %+v\n  got  %+v", tag, i, p, back)
@@ -368,8 +363,8 @@ func TestEncodeRejectsWrongTypes(t *testing.T) {
 	if _, err := DecodePayload("rumor", nil, 8); err == nil {
 		t.Fatal("unknown tag decoded")
 	}
-	if _, err := EncodePayload(TagGossip, Steal{}, 8); err == nil {
-		t.Fatal("Steal accepted as gossip payload")
+	if _, err := EncodePayload(TagGossip, Leave{}, 8); err == nil {
+		t.Fatal("Leave accepted as gossip payload")
 	}
 	short := mkp.Solution{X: bitset.New(4), Value: 1}
 	if _, err := EncodePayload(TagStart, Start{Start: short, Params: sampleParams()}, 8); err == nil {
@@ -505,7 +500,7 @@ func FuzzDecodePayload(f *testing.F) {
 			}
 		}
 	}
-	tags := []string{TagStart, TagResult, TagStop, TagStopped, TagHeartbeat, TagJoin, TagLeave, TagGossip, TagSteal}
+	tags := []string{TagStart, TagResult, TagStop, TagStopped, TagHeartbeat, TagJoin, TagLeave, TagGossip}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, tag := range tags {
 			DecodePayload(tag, data, n)

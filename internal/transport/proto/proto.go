@@ -22,11 +22,13 @@ import (
 // Version is the codec version stamped into every wire frame. A peer that
 // sees any other value must reject the frame: there is exactly one live
 // version at a time, and skew is an operator error, not a negotiation.
-// Version 2 added the elastic-membership messages (Join/Leave/Gossip/Steal)
-// and extended Hello with the fleet epoch and membership view. Version 3
-// added the portfolio algorithm id to every encoded strategy, so dispatch
-// frames name the search algorithm a slave must run for the round.
-const Version = 3
+// Version 2 added the elastic-membership messages (Join/Leave/Gossip and a
+// Steal offer) and extended Hello with the fleet epoch and membership view.
+// Version 3 added the portfolio algorithm id to every encoded strategy, so
+// dispatch frames name the search algorithm a slave must run for the round.
+// Version 4 removed the Steal offer: the master picks a thief among the
+// members whose result for the round it already holds.
+const Version = 4
 
 // Message tags exchanged between the master (node 0) and slaves (nodes 1..P).
 const (
@@ -38,7 +40,6 @@ const (
 	TagJoin      = "join"      // worker -> master: Join (elastic handshake opener)
 	TagLeave     = "leave"     // worker -> master: Leave (graceful departure)
 	TagGossip    = "gossip"    // both ways: Gossip (epoch-stamped incumbent)
-	TagSteal     = "steal"     // worker -> master: Steal (work-stealing request)
 )
 
 // Start is what the master sends a slave at each rendezvous: an initial
@@ -120,14 +121,6 @@ type Leave struct {
 type Gossip struct {
 	Epoch uint64
 	Best  mkp.Solution
-}
-
-// Steal is an idle worker's request for more work: Node drained its budget
-// for Round and offers to take over a straggler's slot. It rides the control
-// plane so the fault injector can never swallow the offer.
-type Steal struct {
-	Node  int
-	Round int
 }
 
 // Hello is the master's handshake to a freshly connected worker: which node

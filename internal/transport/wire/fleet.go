@@ -102,9 +102,9 @@ func (fc *fleetConn) casState(o, n MemberState) bool {
 //     Join frame, and joined-but-unclaimed nodes queue until the engine
 //     admits them with TakeJoins.
 //
-// Departures are classified (Leave vs crash) per connection. Fleet implements
-// transport.Transport for the engine; only node 0's receive methods are
-// usable (the members' mailboxes live in their own processes).
+// Departures are classified (Leave vs crash) per connection. Fleet is the
+// engine's transport.Hub: it receives for node 0 only, since the members'
+// mailboxes live in their own processes.
 type Fleet struct {
 	ln  net.Listener // nil for a dialed roster
 	ins *mkp.Instance
@@ -130,8 +130,6 @@ type Fleet struct {
 	msgs    atomic.Int64
 	bytes   atomic.Int64
 	dropped atomic.Int64
-	linkMu  sync.Mutex
-	links   map[[2]int]int64
 
 	mx wireMetrics
 }
@@ -158,7 +156,6 @@ func newFleet(ins *mkp.Instance, cfg FleetConfig, reg *metrics.Registry) (*Fleet
 		conns:    make(map[int]*fleetConn),
 		nextNode: 1,
 		joined:   make(chan struct{}, 1),
-		links:    make(map[[2]int]int64),
 		mx:       newWireMetrics(reg),
 	}, nil
 }
@@ -348,19 +345,22 @@ func (f *Fleet) handshake(c net.Conn, joiner bool, timeout time.Duration) (*flee
 // any other read error on a live member is a crash (MemberDead). This is the
 // classification that keeps a graceful Leave out of the DeadSlaves ledger.
 // Messages are attributed to the connection's node, never to the sender the
-// frame header claims.
+// frame header claims. On any read error the fleet hangs up: after a bad
+// frame the worker is still connected, and only a closed connection tells it
+// (its Recv returns the synthetic stop) that no order will ever come.
 func (f *Fleet) reader(fc *fleetConn) {
 	for {
 		msg, err := readMessage(fc.br, f.n, f.mx)
 		if err != nil {
 			fc.casState(MemberLive, MemberDead)
+			fc.c.Close()
 			return
 		}
 		if msg.Tag == proto.TagLeave {
 			fc.setState(MemberLeft)
 		}
 		msg.From, msg.To = fc.node, 0
-		f.count(fc.node, 0, msg.Size)
+		f.count(msg.Size)
 		select {
 		case f.inbox <- msg:
 		case <-f.life.Done():
@@ -374,14 +374,11 @@ func (f *Fleet) account(frameBytes int) {
 	f.mx.bytes.Add(int64(frameBytes))
 }
 
-// count records one message of the given payload size on the from->to link.
-func (f *Fleet) count(from, to, payloadBytes int) {
+// count records one message of the given payload size.
+func (f *Fleet) count(payloadBytes int) {
 	f.account(headerLen + payloadBytes)
 	f.msgs.Add(1)
 	f.bytes.Add(int64(payloadBytes))
-	f.linkMu.Lock()
-	f.links[[2]int{from, to}]++
-	f.linkMu.Unlock()
 }
 
 // liveLocked returns the sorted live membership; caller holds f.mu.
@@ -469,14 +466,6 @@ func (f *Fleet) SetEpoch(e uint64) { f.epoch.Store(e) }
 // Epoch returns the last published fleet epoch.
 func (f *Fleet) Epoch() uint64 { return f.epoch.Load() }
 
-// Nodes returns the highest assigned node id plus one (the master). It grows
-// as members join; slot tables sized off it are append-only.
-func (f *Fleet) Nodes() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.nextNode
-}
-
 // Send encodes the payload and writes one frame to member `to`. A send to an
 // unknown, left or dead member is swallowed and counted as dropped — exactly
 // what the sender of a datagram to a dead host observes; the engine's
@@ -505,7 +494,7 @@ func (f *Fleet) Send(from, to int, tag string, payload any, size int) error {
 		f.mx.dropped.Inc()
 		return nil
 	}
-	f.count(from, to, len(frame)-headerLen)
+	f.count(len(frame) - headerLen)
 	return nil
 }
 
@@ -524,9 +513,6 @@ func (f *Fleet) Broadcast(tag string, payload any, size int) int {
 	return len(nodes)
 }
 
-// Recv blocks until a message for node 0 arrives.
-func (f *Fleet) Recv(node int) transport.Message { return <-f.inbox }
-
 // RecvTimeout waits up to d for a message for node 0.
 func (f *Fleet) RecvTimeout(node int, d time.Duration) (transport.Message, bool) {
 	timer := time.NewTimer(d)
@@ -538,31 +524,6 @@ func (f *Fleet) RecvTimeout(node int, d time.Duration) (transport.Message, bool)
 		return transport.Message{}, false
 	}
 }
-
-// TryRecv returns a pending message for node 0 without blocking.
-func (f *Fleet) TryRecv(node int) (transport.Message, bool) {
-	select {
-	case m := <-f.inbox:
-		return m, true
-	default:
-		return transport.Message{}, false
-	}
-}
-
-// Drain discards all pending node-0 messages and returns how many there were.
-func (f *Fleet) Drain(node int) int {
-	count := 0
-	for {
-		if _, ok := f.TryRecv(node); !ok {
-			return count
-		}
-		count++
-	}
-}
-
-// Crashed reports whether a member's connection died without a Leave. A
-// graceful leaver is not crashed: it said goodbye.
-func (f *Fleet) Crashed(node int) bool { return f.MemberState(node) == MemberDead }
 
 // Evict force-disconnects a live member and classifies the teardown as an
 // expected departure (MemberLeft, the leave ledger), not a crash — the
@@ -580,27 +541,11 @@ func (f *Fleet) Evict(node int) bool {
 	return true
 }
 
-// Revive is a no-op: the fleet cannot restart a remote process — recovery is
-// admission of fresh joiners, not resurrection.
-func (f *Fleet) Revive(node int) int { return 0 }
-
 // Stats returns a snapshot of the traffic counters. Bytes counts encoded
 // payload bytes in both directions (frame headers are only in
 // wire_bytes_total).
 func (f *Fleet) Stats() transport.Stats {
-	f.linkMu.Lock()
-	defer f.linkMu.Unlock()
-	links := make(map[[2]int]int64, len(f.links))
-	for k, v := range f.links {
-		links[k] = v
-	}
-	return transport.Stats{
-		Messages:  f.msgs.Load(),
-		Bytes:     f.bytes.Load(),
-		Dropped:   f.dropped.Load(),
-		LinkMsgs:  links,
-		BusiestIn: 0,
-	}
+	return transport.Stats{Messages: f.msgs.Load(), Bytes: f.bytes.Load(), Dropped: f.dropped.Load()}
 }
 
 // Close stops admitting, cuts short every handshake in progress, tears down
@@ -625,4 +570,4 @@ func (f *Fleet) Close() error {
 	return nil
 }
 
-var _ transport.Transport = (*Fleet)(nil)
+var _ transport.Hub = (*Fleet)(nil)

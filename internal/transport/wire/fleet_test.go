@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/mkp"
 	"repro/internal/rng"
+	"repro/internal/transport"
 	"repro/internal/transport/proto"
 )
 
@@ -122,7 +123,7 @@ func TestFleetJoinHandshake(t *testing.T) {
 
 // TestFleetLeaveVsCrashClassification is the satellite fix pinned as a test:
 // a member that announces a Leave before its connection drops is MemberLeft
-// (never Crashed), while an unannounced disconnect is MemberDead (Crashed).
+// (never MemberDead), while an unannounced disconnect is MemberDead.
 // This is what keeps one departure out of two ledgers.
 func TestFleetLeaveVsCrashClassification(t *testing.T) {
 	ins := fleetInstance(20, 3, 2)
@@ -145,14 +146,14 @@ func TestFleetLeaveVsCrashClassification(t *testing.T) {
 	}
 	leaver.Close()
 	waitState(t, f, 1, MemberLeft)
-	if f.Crashed(1) {
+	if f.MemberState(1) == MemberDead {
 		t.Fatal("graceful leaver reported as crashed")
 	}
 
 	// Crash: the connection just dies.
 	crasher.Close()
 	waitState(t, f, 2, MemberDead)
-	if !f.Crashed(2) {
+	if f.MemberState(2) != MemberDead {
 		t.Fatal("unannounced disconnect not reported as crashed")
 	}
 
@@ -215,8 +216,8 @@ func TestFleetMaxNodesCap(t *testing.T) {
 	if _, _, err := JoinFleet(f.Addr(), "excess", nil, WithDialTimeout(time.Second)); err == nil {
 		t.Fatal("joiner beyond MaxNodes admitted")
 	}
-	if f.Nodes() != 2 { // node 1 assigned, master is 0
-		t.Fatalf("Nodes() = %d, want 2", f.Nodes())
+	if got := f.MemberState(2); got != MemberUnknown { // only node 1 was assigned
+		t.Fatalf("node 2 is %v, want unknown", got)
 	}
 }
 
@@ -242,8 +243,12 @@ func TestFleetGossipBroadcastFanout(t *testing.T) {
 	if sent := f.Broadcast(proto.TagGossip, g, proto.SolutionSize(ins.N)); sent != 1 {
 		t.Fatalf("broadcast fanout %d, want 1 (one live member)", sent)
 	}
-	msg, ok := s1.RecvTimeout(1, 5*time.Second)
-	if !ok {
+	got1 := make(chan transport.Message, 1)
+	go func() { got1 <- s1.Recv(1) }()
+	var msg transport.Message
+	select {
+	case msg = <-got1:
+	case <-time.After(5 * time.Second):
 		t.Fatal("live member never received the gossip")
 	}
 	if msg.Tag != proto.TagGossip {

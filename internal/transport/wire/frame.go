@@ -1,11 +1,11 @@
 // Package wire carries the master–slave protocol over TCP, so the paper's
 // slaves can run as separate OS processes (cmd/mkpworker) instead of
-// goroutines. It implements the same transport.Transport seam as the
-// in-process substrate: the master side (Fleet, built by Dial for a fixed
-// worker roster or by ListenFleet for workers that join) multiplexes all
-// member connections into one mailbox for node 0, and the worker side
-// (Session, built by Accept or JoinFleet) exposes the single connection back
-// to the master as the slave's transport.
+// goroutines. It implements both sides of the transport seam: the master
+// side (Fleet, a transport.Hub built by Dial for a fixed worker roster or by
+// ListenFleet for workers that join) multiplexes all member connections into
+// one mailbox for node 0, and the worker side (Session, a
+// transport.Transport built by Accept or JoinFleet) is the single connection
+// back to the master.
 //
 // Framing: every message is one length-prefixed frame with a fixed 14-byte
 // header —
@@ -67,12 +67,12 @@ const (
 	maxPayload = 64 << 20
 )
 
-// Frame kinds. Start..Heartbeat and Join..Steal map one-to-one onto the
+// Frame kinds. Start..Heartbeat and Join..Gossip map one-to-one onto the
 // proto tags; Hello and Ready exist only during the handshake and never
-// reach a Transport. Join opens the elastic handshake (worker -> fleet
-// master), Leave closes a membership gracefully, Gossip carries the
-// epoch-stamped incumbent both ways, and Steal is an idle worker's offer to
-// take over a straggler's slot.
+// reach a transport. Join opens the elastic handshake (worker -> fleet
+// master), Leave closes a membership gracefully, and Gossip carries the
+// epoch-stamped incumbent both ways. Kind 11 was the version-2 Steal offer;
+// since version 4 it is unknown and kills the connection like any other.
 const (
 	kindStart byte = iota + 1
 	kindResult
@@ -84,7 +84,6 @@ const (
 	kindJoin
 	kindLeave
 	kindGossip
-	kindSteal
 )
 
 // kindOf maps a proto tag to its frame kind.
@@ -106,8 +105,6 @@ func kindOf(tag string) (byte, error) {
 		return kindLeave, nil
 	case proto.TagGossip:
 		return kindGossip, nil
-	case proto.TagSteal:
-		return kindSteal, nil
 	}
 	return 0, fmt.Errorf("wire: no frame kind for tag %q", tag)
 }
@@ -131,8 +128,6 @@ func tagOf(kind byte) (string, error) {
 		return proto.TagLeave, nil
 	case kindGossip:
 		return proto.TagGossip, nil
-	case kindSteal:
-		return proto.TagSteal, nil
 	}
 	return "", fmt.Errorf("wire: unknown frame kind %d", kind)
 }

@@ -136,7 +136,7 @@ func TestAppendFrameRejectsOversizedPayload(t *testing.T) {
 func TestKindTagMapping(t *testing.T) {
 	for _, tag := range []string{
 		proto.TagStart, proto.TagResult, proto.TagStop, proto.TagStopped, proto.TagHeartbeat,
-		proto.TagJoin, proto.TagLeave, proto.TagGossip, proto.TagSteal,
+		proto.TagJoin, proto.TagLeave, proto.TagGossip,
 	} {
 		kind, err := kindOf(tag)
 		if err != nil {

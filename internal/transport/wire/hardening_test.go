@@ -105,8 +105,48 @@ func TestFleetEvict(t *testing.T) {
 	if msg.Tag != proto.TagStop {
 		t.Fatalf("evicted worker received %q, want the synthetic stop", msg.Tag)
 	}
-	if !s.Crashed(h.Node) {
+	// The session is dead: a second receive returns the stop at once
+	// instead of blocking on the closed socket.
+	again := make(chan string, 1)
+	go func() { again <- s.Recv(h.Node).Tag }()
+	select {
+	case tag := <-again:
+		if tag != proto.TagStop {
+			t.Fatalf("second receive on the evicted session returned %q, want the synthetic stop", tag)
+		}
+	case <-time.After(time.Second):
 		t.Fatal("evicted worker session not marked dead")
+	}
+}
+
+// TestFleetCorruptFrameHangsUp: a member whose frame fails the integrity
+// checks is dead to the fleet, which then closes its connection, so the
+// worker's next receive returns the synthetic stop instead of waiting forever
+// for orders the fleet will never send it.
+func TestFleetCorruptFrameHangsUp(t *testing.T) {
+	ins := fleetInstance(20, 3, 6)
+	f := listenFleet(t, ins, FleetConfig{})
+
+	s, h, err := JoinFleet(f.Addr(), "garbled", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	waitState(t, f, h.Node, MemberLive)
+
+	if _, err := s.c.Write(bytes.Repeat([]byte{0xA5}, headerLen)); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, f, h.Node, MemberDead)
+	got := make(chan string, 1)
+	go func() { got <- s.Recv(h.Node).Tag }()
+	select {
+	case tag := <-got:
+		if tag != proto.TagStop {
+			t.Fatalf("worker received %q after its bad frame, want the synthetic stop", tag)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("worker still waiting on a fleet that stopped reading it")
 	}
 }
 

@@ -18,7 +18,8 @@ import (
 // back to the master, exposed as the slave's transport.Transport. The slave
 // loop is strictly synchronous (receive an order, run it, send the report),
 // so the Session reads frames inline — no reader goroutine, nothing to leak
-// when the process exits.
+// when the process exits. Its traffic is counted on the wire_* metric
+// families only; the master's Fleet keeps the run's accounting.
 //
 // When the connection dies, Recv returns a synthetic silent stop
 // (proto.TagStop with a nil payload), which is exactly the shutdown order the
@@ -31,9 +32,6 @@ type Session struct {
 	n    int // instance size from the Hello; payload codecs need it
 	mu   sync.Mutex
 	dead atomic.Bool
-
-	msgs  atomic.Int64
-	bytes atomic.Int64
 
 	mx wireMetrics
 }
@@ -109,24 +107,17 @@ func greet(c net.Conn, br *bufio.Reader, mx wireMetrics) (*Session, proto.Hello,
 	if err := writeFrame(c, kindReady, byte(hello.Node), 0, nil); err != nil {
 		return nil, proto.Hello{}, fmt.Errorf("wire: sending ready: %w", err)
 	}
-	s.account(headerLen, 0)
+	s.account(headerLen)
 	if err := s.Send(hello.Node, 0, proto.TagHeartbeat, proto.Heartbeat{Node: hello.Node, Moves: 0}, 0); err != nil {
 		return nil, proto.Hello{}, err
 	}
 	return s, hello, nil
 }
 
-func (s *Session) account(frameBytes, payloadBytes int) {
+func (s *Session) account(frameBytes int) {
 	s.mx.frames.Inc()
 	s.mx.bytes.Add(int64(frameBytes))
-	s.msgs.Add(1)
-	s.bytes.Add(int64(payloadBytes))
 }
-
-// Nodes returns the highest node number this session knows of plus one (its
-// own); a worker never addresses anyone but node 0, so the exact fleet size
-// is irrelevant on this side of the wire.
-func (s *Session) Nodes() int { return s.node + 1 }
 
 // Send encodes the payload and writes one frame to the master. A send on a
 // dead connection is swallowed: the next Recv will deliver the synthetic
@@ -146,7 +137,7 @@ func (s *Session) Send(from, to int, tag string, payload any, size int) error {
 		s.dead.Store(true)
 		return nil
 	}
-	s.account(len(frame), len(frame)-headerLen)
+	s.account(len(frame))
 	return nil
 }
 
@@ -168,61 +159,9 @@ func (s *Session) Recv(node int) transport.Message {
 		s.dead.Store(true)
 		return stop
 	}
-	s.account(headerLen+msg.Size, msg.Size)
+	s.account(headerLen + msg.Size)
 	msg.To = s.node
 	return msg
-}
-
-// RecvTimeout waits up to d for the master's next frame. A timeout that
-// fires mid-frame kills the session (the stream is no longer aligned); the
-// slave loop only ever uses the blocking Recv, so in practice the deadline
-// either expires on a frame boundary or not at all.
-func (s *Session) RecvTimeout(node int, d time.Duration) (transport.Message, bool) {
-	if s.dead.Load() {
-		return transport.Message{From: 0, To: s.node, Tag: proto.TagStop}, true
-	}
-	s.c.SetReadDeadline(time.Now().Add(d))
-	defer s.c.SetReadDeadline(time.Time{})
-	if s.br.Buffered() == 0 {
-		if _, err := s.br.Peek(1); err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				return transport.Message{}, false
-			}
-			s.dead.Store(true)
-			return transport.Message{From: 0, To: s.node, Tag: proto.TagStop}, true
-		}
-	}
-	return s.Recv(node), true
-}
-
-// TryRecv returns a buffered message without blocking on the socket.
-func (s *Session) TryRecv(node int) (transport.Message, bool) {
-	if s.br.Buffered() < headerLen {
-		return transport.Message{}, false
-	}
-	return s.Recv(node), true
-}
-
-// Drain discards buffered frames and returns how many there were.
-func (s *Session) Drain(node int) int {
-	count := 0
-	for {
-		if _, ok := s.TryRecv(node); !ok {
-			return count
-		}
-		count++
-	}
-}
-
-// Crashed reports whether the connection to the master has died.
-func (s *Session) Crashed(node int) bool { return s.dead.Load() }
-
-// Revive is meaningless on the worker side.
-func (s *Session) Revive(node int) int { return 0 }
-
-// Stats returns a snapshot of the session's traffic counters.
-func (s *Session) Stats() transport.Stats {
-	return transport.Stats{Messages: s.msgs.Load(), Bytes: s.bytes.Load()}
 }
 
 // Close closes the connection to the master.
