@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race check loc bench kernel solverbench bench-guard perfbench-test chaos chaos-wire chaos-smoke metrics metrics-smoke crash-resume transport worker-smoke serve-smoke elastic elastic-smoke portfolio-smoke
+.PHONY: build vet test race check loc bench kernel solverbench bench-guard perfbench-test ab chaos chaos-wire chaos-smoke metrics metrics-smoke crash-resume transport worker-smoke serve-smoke elastic elastic-smoke portfolio-smoke
 
 build:
 	$(GO) build ./...
@@ -85,6 +85,17 @@ bench-guard:
 # moves a single search decision fails here.
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# ab runs scripts/ab.sh: AB_PAIRS alternating pairs of perfbench runs with
+# AB_ARGS, the working tree against AB_REV (checked out as a worktree under
+# .bench_build/), then per end-to-end metric each side's median and
+# quartiles, the change/parent ratio, the change's wins and a Mann-Whitney U
+# p-value. Example: make ab AB_REV=HEAD~1 AB_ARGS='--workload guided --seconds 25'
+AB_REV ?= HEAD
+AB_PAIRS ?= 10
+AB_ARGS ?= --workload farm --seed 1 --seconds 25
+ab:
+	./scripts/ab.sh $(AB_REV) -n $(AB_PAIRS) -- $(AB_ARGS)
 
 # metrics runs the observability suite under the race detector: the registry
 # unit/race-hammer tests, the exposition golden tests, the HTTP endpoint and

@@ -18,6 +18,7 @@
 //	mkpbench -ablation async     # sync master-slave vs decentralized async
 //	mkpbench -all                # everything, paper-scale
 //	mkpbench -quick -all         # everything, minutes-scale
+//	mkpbench -abreport parent.jsonl change.jsonl  # paired perfbench A/B (scripts/ab.sh)
 //
 // Output goes to stdout in the papers' table layouts; add -v for per-problem
 // progress on stderr.
@@ -57,6 +58,7 @@ func main() {
 		kernelTol  = flag.Float64("kerneltol", 0.15, "relative ns/op tolerance for -checkkernel")
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
+		abParent   = flag.String("abreport", "", "compare paired perfbench runs: -abreport PARENT.jsonl CHANGE.jsonl prints, per end-to-end metric of ./BENCHMARK.json, each side's median and quartiles, the median ratio, the change's wins and a Mann-Whitney U p-value")
 	)
 	flag.Parse()
 
@@ -97,6 +99,14 @@ func main() {
 	r := runner{seed: *seed, p: *p, quick: *quick, progress: progress, format: *format, check: *check, tolerance: *tol}
 
 	ran := false
+	if *abParent != "" {
+		if flag.NArg() != 1 {
+			fmt.Fprintln(os.Stderr, "mkpbench: -abreport takes the parent's and the change's result files")
+			os.Exit(2)
+		}
+		exitOn(abReport(os.Stdout, "BENCHMARK.json", *abParent, flag.Arg(0)))
+		ran = true
+	}
 	if *kernelOut != "" {
 		r.kernelBench(*kernelOut)
 		ran = true

@@ -93,6 +93,11 @@ func Solve(c []float64, a [][]float64, b []float64) (*Result, error) {
 	for i := range binv {
 		binv[i] = make([]float64, m)
 	}
+	aug := make([][]float64, m) // invertBasis's [B | I] workspace
+	augBuf := make([]float64, m*2*m)
+	for i := range aug {
+		aug[i] = augBuf[i*2*m : (i+1)*2*m]
+	}
 	xB := make([]float64, m)
 	y := make([]float64, m)
 	w := make([]float64, m)
@@ -103,7 +108,7 @@ func Solve(c []float64, a [][]float64, b []float64) (*Result, error) {
 
 	var iter int
 	for iter = 0; iter < maxIter; iter++ {
-		if err := invertBasis(binv, basis, column, m); err != nil {
+		if err := invertBasis(binv, aug, basis, column, m); err != nil {
 			return nil, err
 		}
 		// rhs = b − Σ_{nonbasic at upper} A_j u_j (lower bounds are 0).
@@ -270,16 +275,16 @@ func Solve(c []float64, a [][]float64, b []float64) (*Result, error) {
 }
 
 // invertBasis writes the inverse of the basis matrix into binv using
-// Gauss–Jordan elimination with partial pivoting.
-func invertBasis(binv [][]float64, basis []int, column func(j, i int) float64, m int) error {
+// Gauss–Jordan elimination with partial pivoting. aug is an m×2m workspace;
+// its rows may come back permuted, and every entry is rewritten before use.
+func invertBasis(binv, aug [][]float64, basis []int, column func(j, i int) float64, m int) error {
 	// Build augmented [B | I].
-	aug := make([][]float64, m)
-	for i := 0; i < m; i++ {
-		aug[i] = make([]float64, 2*m)
+	for i, row := range aug {
 		for k, bj := range basis {
-			aug[i][k] = column(bj, i)
+			row[k] = column(bj, i)
 		}
-		aug[i][m+i] = 1
+		clear(row[m:])
+		row[m+i] = 1
 	}
 	for col := 0; col < m; col++ {
 		// Partial pivot.

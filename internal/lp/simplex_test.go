@@ -225,3 +225,36 @@ func BenchmarkSolve100x10(b *testing.B) {
 		}
 	}
 }
+
+// TestSolveAllocsIndependentOfIterations pins the Gauss–Jordan workspace to
+// one allocation per Solve: at a fixed row count, two LPs whose simplex runs
+// differ several-fold in iterations allocate the same number of objects.
+func TestSolveAllocsIndependentOfIterations(t *testing.T) {
+	const m = 5
+	short := randomLPWithIters(t, 20, m)
+	long := randomLPWithIters(t, 300, m)
+	if long.iters < 4*short.iters {
+		t.Fatalf("iterations %d and %d are not several-fold apart", short.iters, long.iters)
+	}
+	a := testing.AllocsPerRun(5, func() { _, _ = Solve(short.c, short.a, short.b) })
+	b := testing.AllocsPerRun(5, func() { _, _ = Solve(long.c, long.a, long.b) })
+	if a != b {
+		t.Fatalf("allocs per Solve: %v at %d iterations, %v at %d", a, short.iters, b, long.iters)
+	}
+}
+
+type sizedLP struct {
+	c, b  []float64
+	a     [][]float64
+	iters int
+}
+
+func randomLPWithIters(t *testing.T, n, m int) sizedLP {
+	t.Helper()
+	c, a, b := randomLP(rng.New(uint64(n)), n, m)
+	res, err := Solve(c, a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sizedLP{c: c, b: b, a: a, iters: res.Iterations}
+}

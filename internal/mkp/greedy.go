@@ -1,6 +1,8 @@
 package mkp
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/bitset"
@@ -121,8 +123,8 @@ func Repair(st *State) {
 		return
 	}
 	packed := st.X.Indices(nil)
-	sort.SliceStable(packed, func(a, b int) bool {
-		return st.Ins.BurdenRatio(packed[a]) > st.Ins.BurdenRatio(packed[b])
+	slices.SortStableFunc(packed, func(a, b int) int {
+		return cmp.Compare(st.Ins.BurdenRatio(b), st.Ins.BurdenRatio(a))
 	})
 	for _, j := range packed {
 		if st.Feasible() {

@@ -58,6 +58,7 @@ type Instance struct {
 	// Built on first use rather than in Finalize, which a wire worker runs
 	// inside its handshake: only the searches that read them pay for them.
 	byProfit   []int     // items by decreasing profit (ProfitOrder)
+	profitRank []int32   // each item's index in byProfit (ProfitRank)
 	burden     []float64 // BurdenRatio per item
 	profitOnce sync.Once
 	burdenOnce sync.Once
@@ -266,15 +267,28 @@ func (ins *Instance) BurdenRatio(j int) float64 {
 // to the lower index, computed once per instance on first use. A scan that
 // wants only the items more profitable than some c walks a prefix of it.
 func (ins *Instance) ProfitOrder() []int {
-	ins.profitOnce.Do(func() {
-		order := make([]int, ins.N)
-		for j := range order {
-			order[j] = j
-		}
-		sort.SliceStable(order, func(a, b int) bool {
-			return ins.Profit[order[a]] > ins.Profit[order[b]]
-		})
-		ins.byProfit = order
-	})
+	ins.profitOnce.Do(ins.buildProfitOrder)
 	return ins.byProfit
+}
+
+// ProfitRank returns each item's index in ProfitOrder (read-only), built
+// with it.
+func (ins *Instance) ProfitRank() []int32 {
+	ins.profitOnce.Do(ins.buildProfitOrder)
+	return ins.profitRank
+}
+
+func (ins *Instance) buildProfitOrder() {
+	order := make([]int, ins.N)
+	for j := range order {
+		order[j] = j
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return ins.Profit[order[a]] > ins.Profit[order[b]]
+	})
+	rank := make([]int32, ins.N)
+	for r, j := range order {
+		rank[j] = int32(r)
+	}
+	ins.byProfit, ins.profitRank = order, rank
 }

@@ -1,6 +1,7 @@
 package tabu
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/bitset"
@@ -24,7 +25,11 @@ func NewPool(capacity int) *Pool {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Pool{cap: capacity, keys: make(map[string]bool, capacity+1)}
+	return &Pool{
+		cap:  capacity,
+		sols: make([]mkp.Solution, 0, capacity+1),
+		keys: make(map[string]bool, capacity+1),
+	}
 }
 
 // Offer inserts a snapshot of sol if it is distinct and good enough to rank
@@ -34,6 +39,8 @@ func NewPool(capacity int) *Pool {
 // so the duplicate check uses bitset.AppendKey into a reused scratch buffer:
 // the map[string] lookup via string(buf) compiles to an allocation-free
 // access, and a key string is only materialized for genuinely new entries.
+// The new member goes after the last member of greater or equal value —
+// where appending it and stably sorting by decreasing value would put it.
 func (p *Pool) Offer(sol mkp.Solution) bool {
 	if len(p.sols) == p.cap && sol.Value <= p.sols[len(p.sols)-1].Value {
 		return false
@@ -43,13 +50,13 @@ func (p *Pool) Offer(sol mkp.Solution) bool {
 		return false
 	}
 	p.keys[string(p.keyBuf)] = true
-	p.sols = append(p.sols, sol.Clone())
-	sort.SliceStable(p.sols, func(a, b int) bool { return p.sols[a].Value > p.sols[b].Value })
-	if len(p.sols) > p.cap {
-		evicted := p.sols[len(p.sols)-1]
-		p.keyBuf = evicted.X.AppendKey(p.keyBuf[:0])
+	at := sort.Search(len(p.sols), func(k int) bool { return p.sols[k].Value < sol.Value })
+	p.sols = slices.Insert(p.sols, at, sol.Clone())
+	if last := len(p.sols) - 1; last == p.cap {
+		p.keyBuf = p.sols[last].X.AppendKey(p.keyBuf[:0])
 		delete(p.keys, string(p.keyBuf))
-		p.sols = p.sols[:len(p.sols)-1]
+		p.sols[last] = mkp.Solution{}
+		p.sols = p.sols[:last]
 	}
 	return true
 }

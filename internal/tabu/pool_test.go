@@ -1,6 +1,7 @@
 package tabu
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -156,5 +157,58 @@ func TestQuickPoolSortedDistinctBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sortPool is the retained reference for Pool.Offer's ordering: append the
+// new member, stably sort by decreasing value, evict the last beyond cap.
+type sortPool struct {
+	cap  int
+	sols []mkp.Solution
+}
+
+func (p *sortPool) offer(s mkp.Solution) {
+	if len(p.sols) == p.cap && s.Value <= p.sols[len(p.sols)-1].Value {
+		return
+	}
+	for _, o := range p.sols {
+		if o.X.Equal(s.X) {
+			return
+		}
+	}
+	p.sols = append(p.sols, s)
+	sort.SliceStable(p.sols, func(a, b int) bool { return p.sols[a].Value > p.sols[b].Value })
+	if len(p.sols) > p.cap {
+		p.sols = p.sols[:p.cap]
+	}
+}
+
+// TestPoolOrderMatchesStableSort offers random sequences drawn from a few
+// values (so most offers tie with a member) and demands the pool hold the
+// same members in the same order as the sort-based reference.
+func TestPoolOrderMatchesStableSort(t *testing.T) {
+	r := rng.New(77)
+	for trial := 0; trial < 300; trial++ {
+		capacity := 1 + r.Intn(8)
+		got, want := NewPool(capacity), &sortPool{cap: capacity}
+		for k := 0; k < 60; k++ {
+			x := bitset.New(6)
+			for j := 0; j < 6; j++ {
+				if r.Intn(2) == 0 {
+					x.Set(j)
+				}
+			}
+			s := mkp.Solution{X: x, Value: float64(r.Intn(4))}
+			got.Offer(s)
+			want.offer(s)
+			if got.Len() != len(want.sols) {
+				t.Fatalf("trial %d offer %d: %d members, want %d", trial, k, got.Len(), len(want.sols))
+			}
+			for i, w := range want.sols {
+				if g := got.sols[i]; g.Value != w.Value || !g.X.Equal(w.X) {
+					t.Fatalf("trial %d offer %d: member %d is %v@%v, want %v@%v", trial, k, i, g.X, g.Value, w.X, w.Value)
+				}
+			}
+		}
 	}
 }

@@ -1,11 +1,14 @@
 package tabu
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"time"
 
+	"repro/internal/bitset"
 	"repro/internal/mkp"
 	"repro/internal/rng"
 	"repro/internal/trace"
@@ -56,9 +59,21 @@ type Searcher struct {
 	// scratch buffers reused across calls
 	idxBuf    []int
 	flipBuf   []int
-	addBuf    []int  // refillSweep's tentative refill
-	forcedBuf []int  // diversify's forced-in items
-	locked    []bool // repairKeeping's marks, all false between calls
+	addBuf    []int         // refillSweep's tentative refill
+	forcedBuf []int         // diversify's forced-in items
+	locked    []bool        // repairKeeping's marks, all false between calls
+	allPos    []int32       // 0, 1, …, N−1: addPhase's first pass walks every position
+	deferBuf  []int32       // addPhase's positions to walk again
+	screen    []screenEntry // refillSweep's out-items
+	outSet    *bitset.Set   // swapPass's out-items, indexed by profit rank
+}
+
+// screenEntry is an out-item on refillSweep's list with its weights in the
+// two constraints it overflowed most when the list was built.
+type screenEntry struct {
+	j      int32
+	c1, c2 int32
+	w1, w2 float64
 }
 
 // NewSearcher validates the instance and prepares a searcher seeded with seed.
@@ -81,6 +96,13 @@ func NewSearcher(ins *mkp.Instance, seed uint64) (*Searcher, error) {
 		tabuAdd:  make([]int64, ins.N),
 		tabuDrop: make([]int64, ins.N),
 		locked:   make([]bool, ins.N),
+		allPos:   make([]int32, ins.N),
+		deferBuf: make([]int32, 0, ins.N),
+		screen:   make([]screenEntry, 0, ins.N),
+		outSet:   bitset.New(ins.N),
+	}
+	for k := range s.allPos {
+		s.allPos[k] = int32(k)
 	}
 	s.indexOrder()
 	return s, nil
@@ -181,8 +203,8 @@ func (s *Searcher) Run(start mkp.Solution, p Params, budget int64) (*Result, err
 	s.st.Load(start.X)
 	if s.core != nil {
 		s.applyCore()
-	} else if !s.st.Feasible() {
-		mkp.Repair(s.st)
+	} else {
+		s.repairKeeping(nil)
 	}
 	s.fill()
 	startValue := s.st.Value
@@ -297,7 +319,7 @@ func (s *Searcher) move(p Params, bestValue float64) {
 	if p.Policy == PolicyReactive {
 		tenure = int64(s.react.tenure)
 	}
-	var dropped, scanned, tabuHits, aspirations int64
+	var dropped int64
 
 	// Drop phase: NbDrop times, pick the most saturated constraint and drop
 	// its worst packed item.
@@ -315,34 +337,69 @@ func (s *Searcher) move(p Params, bestValue float64) {
 			s.tabuAdd[j] = s.moves + tenure
 		}
 	}
-	// Add phase: greedy by pseudo-utility until nothing fits (or CandWidth
-	// insertions); a tabu item may enter only under aspiration (it would
-	// beat the incumbent). AddNoise occasionally skips a candidate for one
-	// pass, so ties on pseudo-utility break differently across slaves and
-	// rounds. The MinWeight/MaxSlack quick reject prunes candidates that
-	// cannot fit under any constraint with one compare instead of an O(m)
-	// Fits probe, and the suffix-min bound over the rank ends the scan once
-	// no remaining candidate can pass that reject (max slack only shrinks as
-	// items land). Both only replace Fits=false outcomes — no RNG is drawn
-	// for a rejected candidate — so the RNG stream and the resulting
-	// trajectory are unchanged.
+	inserted, scanned, tabuHits, aspirations := s.addPhase(p, bestValue, tenure, useREM)
+	s.moves++
+	s.km.moves.Inc()
+	s.km.drops.Add(dropped)
+	s.km.adds.Add(inserted)
+	s.km.tabuHits.Add(tabuHits)
+	s.km.aspirations.Add(aspirations)
+	s.km.addScan.Observe(float64(scanned))
+	for j := s.st.X.NextSet(0); j >= 0; j = s.st.X.NextSet(j + 1) {
+		s.history[j]++
+	}
+	if useREM {
+		s.rem.record(s.flipBuf)
+	}
+	if p.Policy == PolicyReactive {
+		s.react.observe(s)
+	}
+}
+
+// addPhase is the Add phase of a compound move: greedy by pseudo-utility
+// until nothing fits (or CandWidth insertions); a tabu item may enter only
+// under aspiration (it would beat the incumbent). AddNoise occasionally skips
+// a candidate for one pass, so ties on pseudo-utility break differently
+// across slaves and rounds. It returns the items inserted, the scan
+// positions examined, and the tabu hits and aspirations.
+//
+// The MinWeight/MaxSlack quick reject prunes candidates that cannot fit under
+// any constraint with one compare instead of an O(m) Fits probe, and the
+// suffix-min bound over the order ends a pass once no remaining candidate can
+// pass that reject. Both only replace Fits=false outcomes — no RNG is drawn
+// for a rejected candidate — so the RNG stream is that of a full Fits walk.
+//
+// The first pass walks the whole scan order; each later pass walks only the
+// positions the previous pass skipped after Fits passed (an AddNoise coin or
+// a tabu item without aspiration). The phase only adds, and subtracting a
+// non-negative weight never raises a slack, so every other position stays
+// packed, keeps failing Fits, or stays past the suffix-min exit: a full
+// rescan would draw no coin and add nothing there. Later passes therefore
+// make exactly the decisions and draws of the full rescans they replace.
+func (s *Searcher) addPhase(p Params, bestValue float64, tenure int64, useREM bool) (inserted, scanned, tabuHits, aspirations int64) {
 	minW := s.ins.MinWeight
-	inserted := 0
+	width := int64(math.MaxInt64)
+	if p.CandWidth > 0 {
+		width = int64(p.CandWidth)
+	}
+	maxSlack := s.st.MaxSlack()
+	walk := s.allPos[:len(s.order)]
 	for {
 		added := false
-		maxSlack := s.st.MaxSlack()
-		for k, j := range s.order {
-			if p.CandWidth > 0 && inserted >= p.CandWidth {
-				break
-			}
-			if s.orderSuf[k] > maxSlack {
+		// deferred shares walk's array on later passes: it is appended to at
+		// most once per position read, so a write never passes the read.
+		deferred := s.deferBuf[:0]
+		for _, k := range walk {
+			if inserted >= width || s.orderSuf[k] > maxSlack {
 				break
 			}
 			scanned++
+			j := s.order[k]
 			if minW[j] > maxSlack || s.st.X.Get(j) || !s.st.Fits(j) {
 				continue
 			}
 			if p.AddNoise > 0 && s.r.Bool(p.AddNoise) {
+				deferred = append(deferred, k)
 				continue
 			}
 			blocked := s.tabuAdd[j] > s.moves
@@ -352,6 +409,7 @@ func (s *Searcher) move(p Params, bestValue float64) {
 			if blocked {
 				if s.st.Value+s.ins.Profit[j] <= bestValue {
 					tabuHits++
+					deferred = append(deferred, k)
 					continue
 				}
 				aspirations++
@@ -365,25 +423,10 @@ func (s *Searcher) move(p Params, bestValue float64) {
 			}
 			added = true
 		}
-		if !added || (p.CandWidth > 0 && inserted >= p.CandWidth) {
-			break
+		if !added || len(deferred) == 0 || inserted >= width {
+			return inserted, scanned, tabuHits, aspirations
 		}
-	}
-	s.moves++
-	s.km.moves.Inc()
-	s.km.drops.Add(dropped)
-	s.km.adds.Add(int64(inserted))
-	s.km.tabuHits.Add(tabuHits)
-	s.km.aspirations.Add(aspirations)
-	s.km.addScan.Observe(float64(scanned))
-	for j := s.st.X.NextSet(0); j >= 0; j = s.st.X.NextSet(j + 1) {
-		s.history[j]++
-	}
-	if useREM {
-		s.rem.record(s.flipBuf)
-	}
-	if p.Policy == PolicyReactive {
-		s.react.observe(s)
+		walk = deferred
 	}
 }
 
@@ -486,10 +529,24 @@ func (s *Searcher) intensifySwap(local mkp.Solution, best *mkp.Solution, pool *P
 // profitable than i, and of the candidates that fit keeps the one with the
 // smallest scan position — the item the first-fit walk of the order picks.
 // Once a candidate is found, only earlier positions are probed further.
+//
+// Only out-items can be picked, so the walk visits the profit ranks of
+// outSet, which holds the out-items by rank: built from X on entry and
+// updated on every exchange, it yields exactly the items an X.Get filter of
+// the whole profit order would keep, in the same order. The dropped item i
+// is not in it, and need not be: its profit ends the walk before its rank.
 func (s *Searcher) swapPass() {
 	byProfit := s.ins.ProfitOrder()
+	rankOf := s.ins.ProfitRank()
 	profit := s.ins.Profit
 	minW := s.ins.MinWeight
+	out := s.outSet
+	out.Reset()
+	for r, j := range byProfit {
+		if !s.st.X.Get(j) {
+			out.Set(r)
+		}
+	}
 	for improved := true; improved; {
 		improved = false
 		packed := s.st.X.Indices(s.idxBuf[:0])
@@ -501,19 +558,21 @@ func (s *Searcher) swapPass() {
 			s.st.Drop(i)
 			maxSlack := s.st.MaxSlack()
 			pick, at := -1, int32(len(s.order))
-			for _, j := range byProfit {
+			for r := out.NextSet(0); r >= 0; r = out.NextSet(r + 1) {
+				j := byProfit[r]
 				if profit[j] <= ci {
 					break // the rest are no more profitable than i
 				}
 				// A negative position (j outside the order) fails as a
 				// huge unsigned one.
-				if k := s.pos[j]; uint32(k) < uint32(at) &&
-					minW[j] <= maxSlack && !s.st.X.Get(j) && s.st.Fits(j) {
+				if k := s.pos[j]; uint32(k) < uint32(at) && minW[j] <= maxSlack && s.st.Fits(j) {
 					pick, at = j, k
 				}
 			}
 			if pick >= 0 {
 				s.st.Add(pick)
+				out.Clear(int(rankOf[pick]))
+				out.Set(int(rankOf[i]))
 				improved = true
 			} else {
 				s.st.Add(i) // undo
@@ -524,13 +583,22 @@ func (s *Searcher) swapPass() {
 }
 
 // refillSweep generalizes the 1-for-1 swap: for each packed item, try
-// dropping it and greedily refilling with any other fitting items; keep the
-// exchange only when the total value improves. One sweep catches the
-// 1-for-2 exchanges that separate near-optimal solutions on strongly
-// correlated instances.
+// dropping it and greedily refilling, in scan order, with any other fitting
+// items; keep the exchange only when the total value improves. One sweep
+// catches the 1-for-2 exchanges that separate near-optimal solutions on
+// strongly correlated instances.
+//
+// The refill candidates are the scan order's out-items other than i. Between
+// kept exchanges they are the same for every drop — an exchange that is not
+// kept restores the assignment — so the sweep lists them once, and again
+// after each kept exchange (screenOut). An entry whose weight in either of
+// its two listed constraints exceeds that constraint's live slack is
+// rejected without a Fits call: that is one of the compares Fits makes, so
+// the reject is exact however far the slacks have moved since the listing.
 func (s *Searcher) refillSweep() {
 	packed := s.st.X.Indices(s.idxBuf[:0])
-	minW := s.ins.MinWeight
+	slack := s.st.Slack
+	list := s.screenOut()
 	added := s.addBuf[:0]
 	for _, i := range packed {
 		if !s.st.X.Get(i) {
@@ -541,19 +609,18 @@ func (s *Searcher) refillSweep() {
 		}
 		before := s.st.Value
 		s.st.Drop(i)
-		maxSlack := s.st.MaxSlack()
 		added = added[:0]
-		for k, j := range s.order {
-			if s.orderSuf[k] > maxSlack {
-				break // nothing below can fit any constraint
-			}
-			if minW[j] > maxSlack || j == i || s.st.X.Get(j) || !s.st.Fits(j) {
+		for _, e := range list {
+			if e.w1 > slack[e.c1] || e.w2 > slack[e.c2] {
 				continue
 			}
-			maxSlack = s.st.AddMax(j)
-			added = append(added, j)
+			if j := int(e.j); s.st.Fits(j) {
+				s.st.AddMax(j)
+				added = append(added, j)
+			}
 		}
 		if s.st.Value > before {
+			list = s.screenOut()
 			continue
 		}
 		for _, j := range added {
@@ -562,6 +629,42 @@ func (s *Searcher) refillSweep() {
 		s.st.Add(i)
 	}
 	s.idxBuf, s.addBuf = packed[:0], added[:0]
+}
+
+// screenOut lists the scan order's out-items in order, each with the two
+// constraints it overflows most (largest weight minus slack) at the current
+// slacks — the two most likely to reject it once an item is dropped. With
+// one constraint both entries name it.
+func (s *Searcher) screenOut() []screenEntry {
+	m := s.ins.M
+	slack := s.st.Slack
+	list := s.screen[:0]
+	for _, j := range s.order {
+		if s.st.X.Get(j) {
+			continue
+		}
+		col := s.ins.ItemWeights(j)
+		c1, c2 := 0, 0
+		if m > 1 {
+			o1, o2 := col[0]-slack[0], col[1]-slack[1]
+			if o2 > o1 {
+				c1, c2, o1, o2 = 1, 0, o2, o1
+			} else {
+				c2 = 1
+			}
+			for c := 2; c < m; c++ {
+				switch over := col[c] - slack[c]; {
+				case over > o1:
+					c1, c2, o1, o2 = c, c1, over, o1
+				case over > o2:
+					c2, o2 = c, over
+				}
+			}
+		}
+		list = append(list, screenEntry{j: int32(j), c1: int32(c1), c2: int32(c2), w1: col[c1], w2: col[c2]})
+	}
+	s.screen = list
+	return list
 }
 
 // intensifyOscillation pushes the current solution across the feasibility
@@ -582,11 +685,7 @@ func (s *Searcher) intensifyOscillation(p Params, best *mkp.Solution, pool *Pool
 		}
 		s.st.Add(picked)
 	}
-	if s.core != nil {
-		s.repairKeeping(s.core.Keep)
-	} else {
-		mkp.Repair(s.st)
-	}
+	s.repairKeeping(nil)
 	s.fill()
 	s.adopt(best, pool)
 }
@@ -632,16 +731,17 @@ func (s *Searcher) diversify(p Params, best *mkp.Solution, pool *Pool) {
 }
 
 // repairKeeping restores feasibility dropping unlocked items first (largest
-// burden ratio first), touching the locked `keep` items only as a last
-// resort.
+// burden ratio first), touching the locked `keep` items and the core's
+// fixed-in items only as a last resort. With nothing locked it drops exactly
+// what mkp.Repair drops, without allocating.
 func (s *Searcher) repairKeeping(keep []int) {
 	if s.st.Feasible() {
 		return
 	}
 	s.markLocked(keep, true)
 	packed := s.st.X.Indices(s.idxBuf[:0])
-	sort.SliceStable(packed, func(a, b int) bool {
-		return s.ins.BurdenRatio(packed[a]) > s.ins.BurdenRatio(packed[b])
+	slices.SortStableFunc(packed, func(a, b int) int {
+		return cmp.Compare(s.ins.BurdenRatio(b), s.ins.BurdenRatio(a))
 	})
 	// The first pass drops unlocked items, the second locked ones.
 	for pass := 0; pass < 2; pass++ {
