@@ -3,6 +3,7 @@ package lp
 import (
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/rng"
 )
 
@@ -20,3 +21,17 @@ func benchSolve(b *testing.B, n, m int) {
 
 func BenchmarkSolve250x15(b *testing.B) { benchSolve(b, 250, 15) }
 func BenchmarkSolve500x25(b *testing.B) { benchSolve(b, 500, 25) }
+
+// BenchmarkSolveGK500x5 solves the relaxation the guided solves start from:
+// a GK instance with 500 items, 5 rows and tightness 0.75, where most
+// simplex iterations are bound flips.
+func BenchmarkSolveGK500x5(b *testing.B) {
+	ins := gen.GK("gk", 500, 5, 0.75, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Solve(ins.Profit, ins.Weight, ins.Capacity); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

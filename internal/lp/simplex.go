@@ -4,18 +4,25 @@
 //
 // with a dense bounded-variable primal simplex. The relaxation value is the
 // reference bound the experiment harness uses for the paper's "Dev. in %"
-// column (Table 1), and the exact branch-and-bound uses it at the root.
+// column (Table 1), the exact branch-and-bound uses it at the root, and
+// reduced-cost fixing (package reduce) starts every guided solve from it.
 //
-// The implementation targets the sizes in the paper (m <= 30, n <= 500):
-// the m×m basis inverse is recomputed by Gauss–Jordan elimination each
-// iteration, which is simpler and more numerically robust than incremental
-// updates and still far from the bottleneck at these dimensions.
+// The implementation targets the sizes in the paper (m <= 30, n <= 500).
+// Most iterations are bound flips: a variable jumps between 0 and 1, and the
+// basis, the duals and every reduced cost stay as they were. So the m×m
+// basis inverse is recomputed by Gauss–Jordan elimination, and every column
+// re-priced, only after a pivot; a flip negates the flipped variable's
+// pricing score and rebuilds the right-hand side. A product-form (eta)
+// update of the inverse would make a pivot cheaper, but it changes the
+// arithmetic, and with it the reduced costs that reduced-cost fixing
+// compares against its threshold.
 package lp
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // status of a variable relative to the current basis.
@@ -60,15 +67,20 @@ func Solve(c []float64, a [][]float64, b []float64) (*Result, error) {
 		}
 	}
 
-	nt := n + m // structural variables then slacks
-	upper := make([]float64, nt)
-	cost := make([]float64, nt)
-	for j := 0; j < n; j++ {
-		upper[j] = 1
-		cost[j] = c[j]
+	// Structural variables 0..n-1 have cost c_j and upper bound 1; slacks
+	// n..n+m-1 have cost 0 and upper bound +Inf.
+	nt := n + m
+	upper := func(j int) float64 {
+		if j < n {
+			return 1
+		}
+		return math.Inf(1)
 	}
-	for i := 0; i < m; i++ {
-		upper[n+i] = math.Inf(1)
+	cost := func(j int) float64 {
+		if j < n {
+			return c[j]
+		}
+		return 0
 	}
 
 	st := make([]varStatus, nt)
@@ -90,36 +102,84 @@ func Solve(c []float64, a [][]float64, b []float64) (*Result, error) {
 	}
 
 	binv := make([][]float64, m)
+	binvBuf := make([]float64, m*m)
 	for i := range binv {
-		binv[i] = make([]float64, m)
+		binv[i] = binvBuf[i*m : (i+1)*m]
 	}
 	aug := make([][]float64, m) // invertBasis's [B | I] workspace
 	augBuf := make([]float64, m*2*m)
 	for i := range aug {
 		aug[i] = augBuf[i*2*m : (i+1)*2*m]
 	}
-	xB := make([]float64, m)
-	y := make([]float64, m)
-	w := make([]float64, m)
-	rhs := make([]float64, m)
+	vecs := make([]float64, 5*m)
+	xB, y, w, rhs, enterCol := vecs[:m], vecs[m:2*m], vecs[2*m:3*m], vecs[3*m:4*m], vecs[4*m:]
+	// score is each variable's pricing score: its reduced cost d_j at lower,
+	// −d_j at upper, −Inf when basic. Only a pivot changes d, so a bound
+	// flip only negates the flipped variable's score.
+	score := make([]float64, nt)
+	// atUpperSet lists the variables at their upper bound, ascending. Only
+	// structurals ever get there: a slack's bound is +Inf, a flip needs a
+	// finite span, and the ratio test sends a basic variable to its upper
+	// bound only when that bound is finite.
+	atUpperSet := make([]int, 0, n)
 
 	maxIter := 50*(nt) + 1000
 	blandAfter := 10 * nt
 
+	// pivoted: the basis changed since B⁻¹, y and score were computed.
+	// moved: the at-upper set changed since rhs was built.
+	pivoted, moved := true, true
 	var iter int
 	for iter = 0; iter < maxIter; iter++ {
-		if err := invertBasis(binv, aug, basis, column, m); err != nil {
-			return nil, err
-		}
-		// rhs = b − Σ_{nonbasic at upper} A_j u_j (lower bounds are 0).
-		copy(rhs, b)
-		for j := 0; j < nt; j++ {
-			if st[j] == atUpper {
-				u := upper[j]
+		if pivoted {
+			if err := invertBasis(binv, aug, basis, column, m); err != nil {
+				return nil, err
+			}
+			// y = c_B^T B^{-1}
+			for k := 0; k < m; k++ {
+				s := 0.0
 				for i := 0; i < m; i++ {
-					rhs[i] -= column(j, i) * u
+					s += cost(basis[i]) * binv[i][k]
+				}
+				y[k] = s
+			}
+			// d_j = c_j − y·A_j. Row by row, each d_j takes its
+			// subtractions in the same row order as a column-wise sum.
+			copy(score, c)
+			for i, row := range a {
+				yi, sc := y[i], score[:len(row)]
+				for j, aij := range row {
+					sc[j] -= yi * aij
 				}
 			}
+			for j := n; j < nt; j++ {
+				d := 0.0
+				for i := 0; i < m; i++ {
+					d -= y[i] * column(j, i)
+				}
+				score[j] = d
+			}
+			for j, s := range st {
+				switch s {
+				case atUpper:
+					score[j] = -score[j]
+				case basic:
+					score[j] = math.Inf(-1)
+				}
+			}
+			pivoted = false
+		}
+		if moved {
+			// rhs = b − Σ_{j at upper} A_j u_j with u_j = 1, in ascending j
+			// (lower bounds are 0).
+			for i, row := range a {
+				r := b[i]
+				for _, j := range atUpperSet {
+					r -= row[j]
+				}
+				rhs[i] = r
+			}
+			moved = false
 		}
 		for i := 0; i < m; i++ {
 			s := 0.0
@@ -128,62 +188,50 @@ func Solve(c []float64, a [][]float64, b []float64) (*Result, error) {
 			}
 			xB[i] = s
 		}
-		// y = c_B^T B^{-1}
-		for k := 0; k < m; k++ {
-			s := 0.0
-			for i := 0; i < m; i++ {
-				s += cost[basis[i]] * binv[i][k]
-			}
-			y[k] = s
-		}
 
-		// Pricing: find entering variable.
+		// Pricing: Dantzig takes the first strict maximum above eps; after
+		// blandAfter iterations Bland's rule takes the first score above eps.
 		useBland := iter >= blandAfter
-		enter, enterDir := -1, 0.0
-		bestScore := eps
-		for j := 0; j < nt; j++ {
-			if st[j] == basic {
-				continue
-			}
-			d := cost[j]
-			for i := 0; i < m; i++ {
-				d -= y[i] * column(j, i)
-			}
-			var score float64
-			var dir float64
-			switch st[j] {
-			case atLower:
-				score, dir = d, 1 // increasing improves if d > 0
-			case atUpper:
-				score, dir = -d, -1 // decreasing improves if d < 0
-			}
-			if score > eps {
-				if useBland {
-					enter, enterDir = j, dir
+		enter := -1
+		if useBland {
+			for j, s := range score {
+				if s > eps {
+					enter = j
 					break
 				}
-				if score > bestScore {
-					bestScore, enter, enterDir = score, j, dir
+			}
+		} else {
+			best := eps
+			for j, s := range score {
+				if s > best {
+					best, enter = s, j
 				}
 			}
 		}
 		if enter == -1 {
 			break // optimal
 		}
+		enterDir := 1.0 // increasing improves when d > 0
+		if st[enter] == atUpper {
+			enterDir = -1 // decreasing improves when d < 0
+		}
 
 		// w = B^{-1} A_enter
+		for k := range enterCol {
+			enterCol[k] = column(enter, k)
+		}
 		for i := 0; i < m; i++ {
 			s := 0.0
 			for k := 0; k < m; k++ {
-				s += binv[i][k] * column(enter, k)
+				s += binv[i][k] * enterCol[k]
 			}
 			w[i] = s
 		}
 
 		// Ratio test. Entering moves by t >= 0 in direction enterDir; basic
 		// variable i changes by −enterDir·w[i]·t and must stay within
-		// [0, upper[basis[i]]].
-		tMax := upper[enter] // bound-flip span (l = 0 for all variables)
+		// [0, upper(basis[i])].
+		tMax := upper(enter) // bound-flip span (l = 0 for all variables)
 		leave := -1
 		leaveToUpper := false
 		for i := 0; i < m; i++ {
@@ -197,7 +245,7 @@ func Solve(c []float64, a [][]float64, b []float64) (*Result, error) {
 					leave, leaveToUpper = i, false
 				}
 			case delta > eps: // basic increases toward its upper bound
-				if ub := upper[bi]; !math.IsInf(ub, 1) {
+				if ub := upper(bi); !math.IsInf(ub, 1) {
 					if t := (ub - xB[i]) / delta; t < tMax-eps {
 						tMax, leave, leaveToUpper = t, i, true
 					}
@@ -210,17 +258,18 @@ func Solve(c []float64, a [][]float64, b []float64) (*Result, error) {
 			// the constraint is redundant; treat as numerical trouble.
 			return nil, errors.New("lp: unbounded direction (inconsistent input)")
 		}
-		if tMax < 0 {
-			tMax = 0
-		}
 
 		if leave == -1 {
 			// Bound flip: entering jumps to its other bound.
 			if st[enter] == atLower {
 				st[enter] = atUpper
+				atUpperSet = insertSorted(atUpperSet, enter)
 			} else {
 				st[enter] = atLower
+				atUpperSet = removeSorted(atUpperSet, enter)
 			}
+			score[enter] = -score[enter]
+			moved = true
 			continue
 		}
 
@@ -229,11 +278,18 @@ func Solve(c []float64, a [][]float64, b []float64) (*Result, error) {
 		out := basis[leave]
 		if leaveToUpper {
 			st[out] = atUpper
+			atUpperSet = insertSorted(atUpperSet, out)
+			moved = true
 		} else {
 			st[out] = atLower
 		}
+		if st[enter] == atUpper {
+			atUpperSet = removeSorted(atUpperSet, enter)
+			moved = true
+		}
 		basis[leave] = enter
 		st[enter] = basic
+		pivoted = true
 	}
 	if iter >= maxIter {
 		return nil, ErrIterationLimit
@@ -241,10 +297,8 @@ func Solve(c []float64, a [][]float64, b []float64) (*Result, error) {
 
 	// Assemble the primal solution.
 	x := make([]float64, n)
-	for j := 0; j < n; j++ {
-		if st[j] == atUpper {
-			x[j] = 1
-		}
+	for _, j := range atUpperSet {
+		x[j] = 1
 	}
 	for i, bi := range basis {
 		if bi < n {
@@ -272,6 +326,18 @@ func Solve(c []float64, a [][]float64, b []float64) (*Result, error) {
 		}
 	}
 	return &Result{Value: value, X: x, Duals: duals, Iterations: iter}, nil
+}
+
+// insertSorted adds j to the ascending list s; removeSorted takes it out.
+// Neither allocates while s stays within its capacity.
+func insertSorted(s []int, j int) []int {
+	k, _ := slices.BinarySearch(s, j)
+	return slices.Insert(s, k, j)
+}
+
+func removeSorted(s []int, j int) []int {
+	k, _ := slices.BinarySearch(s, j)
+	return slices.Delete(s, k, k+1)
 }
 
 // invertBasis writes the inverse of the basis matrix into binv using

@@ -13,10 +13,8 @@ import (
 // SGP measures its Hamming diameter to decide whether a slave has been
 // exploring or circling (§4.2).
 type Pool struct {
-	cap    int
-	sols   []mkp.Solution
-	keys   map[string]bool
-	keyBuf []byte // scratch for allocation-free duplicate lookups
+	cap  int
+	sols []mkp.Solution
 }
 
 // NewPool returns a pool holding at most capacity solutions. capacity < 1 is
@@ -25,43 +23,43 @@ func NewPool(capacity int) *Pool {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Pool{
-		cap:  capacity,
-		sols: make([]mkp.Solution, 0, capacity+1),
-		keys: make(map[string]bool, capacity+1),
-	}
+	return &Pool{cap: capacity, sols: make([]mkp.Solution, 0, capacity)}
 }
 
 // Offer inserts a snapshot of sol if it is distinct and good enough to rank
-// among the B best. It reports whether the pool changed.
+// among the B best. It reports whether the pool changed. Every solution
+// offered to one pool must have the same length.
 //
 // Offer sits on the search hot path (it is probed after every compound move),
-// so the duplicate check uses bitset.AppendKey into a reused scratch buffer:
-// the map[string] lookup via string(buf) compiles to an allocation-free
-// access, and a key string is only materialized for genuinely new entries.
-// The new member goes after the last member of greater or equal value —
-// where appending it and stably sorting by decreasing value would put it.
+// so once the pool is full it allocates nothing: duplicates are found by
+// comparing against the at most B members, and an accepted solution is
+// copied into the storage of the member it evicts. The new member goes after
+// the last member of greater or equal value — where appending it and stably
+// sorting by decreasing value would put it.
 func (p *Pool) Offer(sol mkp.Solution) bool {
 	if len(p.sols) == p.cap && sol.Value <= p.sols[len(p.sols)-1].Value {
 		return false
 	}
-	p.keyBuf = sol.X.AppendKey(p.keyBuf[:0])
-	if p.keys[string(p.keyBuf)] {
-		return false
+	for _, s := range p.sols {
+		if s.X.Equal(sol.X) {
+			return false
+		}
 	}
-	p.keys[string(p.keyBuf)] = true
 	at := sort.Search(len(p.sols), func(k int) bool { return p.sols[k].Value < sol.Value })
-	p.sols = slices.Insert(p.sols, at, sol.Clone())
-	if last := len(p.sols) - 1; last == p.cap {
-		p.keyBuf = p.sols[last].X.AppendKey(p.keyBuf[:0])
-		delete(p.keys, string(p.keyBuf))
-		p.sols[last] = mkp.Solution{}
-		p.sols = p.sols[:last]
+	if len(p.sols) < p.cap {
+		p.sols = slices.Insert(p.sols, at, sol.Clone())
+		return true
 	}
+	last := len(p.sols) - 1 // the worst member, evicted
+	x := p.sols[last].X
+	copy(p.sols[at+1:], p.sols[at:last])
+	x.CopyFrom(sol.X)
+	p.sols[at] = mkp.Solution{X: x, Value: sol.Value}
 	return true
 }
 
-// Best returns the top solution, or ok=false when the pool is empty.
+// Best returns the top solution, or ok=false when the pool is empty. Its
+// storage stays the pool's: a later Offer may overwrite it.
 func (p *Pool) Best() (mkp.Solution, bool) {
 	if len(p.sols) == 0 {
 		return mkp.Solution{}, false
@@ -72,19 +70,19 @@ func (p *Pool) Best() (mkp.Solution, bool) {
 // Len returns the number of stored solutions.
 func (p *Pool) Len() int { return len(p.sols) }
 
-// Solutions returns a copy of the stored solutions in decreasing value order.
+// Solutions hands the stored solutions to the caller in decreasing value
+// order and empties the pool. It copies nothing: the members now belong to
+// the caller, and the pool forgets them, so no later Offer can write into
+// the returned slice or the solutions in it.
 func (p *Pool) Solutions() []mkp.Solution {
-	out := make([]mkp.Solution, len(p.sols))
-	for i, s := range p.sols {
-		out[i] = s.Clone()
-	}
+	out := p.sols
+	p.sols = nil
 	return out
 }
 
 // Reset empties the pool.
 func (p *Pool) Reset() {
 	p.sols = p.sols[:0]
-	p.keys = make(map[string]bool, p.cap+1)
 }
 
 // Diameter returns the maximum pairwise Hamming distance among the stored

@@ -212,3 +212,53 @@ func TestPoolOrderMatchesStableSort(t *testing.T) {
 		}
 	}
 }
+
+// TestPoolFullOfferAllocatesNothing: once the pool is full, an accepted
+// offer copies into the evicted member's storage instead of cloning.
+func TestPoolFullOfferAllocatesNothing(t *testing.T) {
+	const capacity, n, runs = 8, 64, 20
+	p := NewPool(capacity)
+	for k := 0; k < capacity; k++ {
+		p.Offer(sol(n, []int{k}, float64(k)))
+	}
+	offers := make([]mkp.Solution, runs+1) // AllocsPerRun adds a warm-up run
+	for k := range offers {
+		offers[k] = sol(n, []int{k, k + 1, k + 2}, float64(capacity+k))
+	}
+	next, accepted := 0, 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if p.Offer(offers[next]) {
+			accepted++
+		}
+		next++
+	})
+	if accepted != len(offers) {
+		t.Fatalf("%d of %d offers accepted", accepted, len(offers))
+	}
+	if allocs != 0 {
+		t.Fatalf("an accepted offer into a full pool allocates %v objects", allocs)
+	}
+	best, _ := p.Best()
+	if want := offers[len(offers)-1]; best.Value != want.Value || !best.X.Equal(want.X) {
+		t.Fatalf("Best = %v@%v, want %v@%v", best.X, best.Value, want.X, want.Value)
+	}
+}
+
+// TestPoolSolutionsHandsOverMembers: Solutions gives the caller the members
+// and empties the pool, so later offers cannot write into what it returned.
+func TestPoolSolutionsHandsOverMembers(t *testing.T) {
+	p := NewPool(2)
+	p.Offer(sol(8, []int{0}, 10))
+	p.Offer(sol(8, []int{1}, 20))
+	got := p.Solutions()
+	if p.Len() != 0 {
+		t.Fatalf("Len = %d after Solutions, want 0", p.Len())
+	}
+	for k := 2; k < 8; k++ {
+		p.Offer(sol(8, []int{k}, float64(10*k)))
+	}
+	if len(got) != 2 || got[0].Value != 20 || !got[0].X.Get(1) || got[1].Value != 10 || !got[1].X.Get(0) ||
+		got[0].X.Count() != 1 || got[1].X.Count() != 1 {
+		t.Fatalf("handed-over members changed: %v@%v, %v@%v", got[0].X, got[0].Value, got[1].X, got[1].Value)
+	}
+}
