@@ -26,11 +26,12 @@ loc:
 	@$(LOC_FILES) | xargs wc -l | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1 } END { for (d in n) printf "%7d %s\n", n[d], d }' | sort -k2
 	@printf '%7d total\n' "$$($(LOC_FILES) | xargs cat | wc -l)"
 
-# bench runs the kernel microbenchmarks and the LP solves a fixed small
-# number of iterations — a smoke that they still compile and run, not a
-# timing-quality measurement.
+# bench runs the kernel microbenchmarks, the drop order build, the drop step
+# with its scan twin, and the LP solves a fixed small number of iterations —
+# a smoke that they still compile and run, not a timing-quality measurement.
 bench:
 	$(GO) test ./internal/bench -run '^$$' -bench 'BenchmarkState|BenchmarkFits|BenchmarkAddPhase' -benchtime 100x -benchmem
+	$(GO) test ./internal/tabu -run '^$$' -bench 'BenchmarkDropOrder|BenchmarkDropStep' -benchtime 100x -benchmem
 	$(GO) test ./internal/lp -run '^$$' -bench . -benchtime 3x -benchmem
 
 # chaos runs the fault-injection suite under the race detector: message

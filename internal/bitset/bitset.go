@@ -191,6 +191,11 @@ func (s *Set) NextSet(i int) int {
 	}
 }
 
+// Word returns the k-th 64-bit word (read-only): bit b of it is bit 64k+b of
+// the set, and bits past the logical length read as zero. It panics unless
+// 0 <= k < ⌈Len()/64⌉.
+func (s *Set) Word(k int) uint64 { return s.words[k] }
+
 // Indices appends the indices of all set bits to dst and returns the extended
 // slice. Pass a reusable buffer to avoid allocation.
 func (s *Set) Indices(dst []int) []int {

@@ -14,6 +14,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -60,8 +62,10 @@ type Instance struct {
 	byProfit   []int     // items by decreasing profit (ProfitOrder)
 	profitRank []int32   // each item's index in byProfit (ProfitRank)
 	burden     []float64 // BurdenRatio per item
+	dropBlock  []int32   // M drop orders, then M position rows (DropOrder)
 	profitOnce sync.Once
 	burdenOnce sync.Once
+	dropOnce   sync.Once
 }
 
 // fitsBlock is the unroll width of the word-parallel Fits scan; PadM is a
@@ -153,9 +157,10 @@ func (ins *Instance) Validate() error {
 	if len(ins.Weight) != ins.M {
 		return fmt.Errorf("mkp: instance %q has %d weight rows, want %d", ins.Name, len(ins.Weight), ins.M)
 	}
+	// The comparisons also reject NaN; +Inf is rejected explicitly.
 	for j, c := range ins.Profit {
-		if !(c > 0) { // also rejects NaN
-			return fmt.Errorf("mkp: instance %q profit[%d]=%v, want > 0", ins.Name, j, c)
+		if !(c > 0) || math.IsInf(c, 1) {
+			return fmt.Errorf("mkp: instance %q profit[%d]=%v, want finite > 0", ins.Name, j, c)
 		}
 	}
 	for i, row := range ins.Weight {
@@ -163,14 +168,14 @@ func (ins *Instance) Validate() error {
 			return fmt.Errorf("mkp: instance %q weight row %d has %d entries, want %d", ins.Name, i, len(row), ins.N)
 		}
 		for j, a := range row {
-			if a < 0 || a != a {
-				return fmt.Errorf("mkp: instance %q weight[%d][%d]=%v, want >= 0", ins.Name, i, j, a)
+			if !(a >= 0) || math.IsInf(a, 1) {
+				return fmt.Errorf("mkp: instance %q weight[%d][%d]=%v, want finite >= 0", ins.Name, i, j, a)
 			}
 		}
 	}
 	for i, b := range ins.Capacity {
-		if !(b > 0) {
-			return fmt.Errorf("mkp: instance %q capacity[%d]=%v, want > 0", ins.Name, i, b)
+		if !(b > 0) || math.IsInf(b, 1) {
+			return fmt.Errorf("mkp: instance %q capacity[%d]=%v, want finite > 0", ins.Name, i, b)
 		}
 	}
 	ins.Finalize()
@@ -291,4 +296,67 @@ func (ins *Instance) buildProfitOrder() {
 		rank[j] = int32(r)
 	}
 	ins.byProfit, ins.profitRank = order, rank
+}
+
+// RankSuffixMin returns SuffixMinWeight along the utility ranking
+// (read-only), computed once per instance by Finalize.
+func (ins *Instance) RankSuffixMin() []float64 {
+	ins.Finalize()
+	return ins.rankSufMin
+}
+
+// DropOrder returns constraint i's drop order — the items by decreasing
+// a_ij/c_j, the score of the tabu move's Drop step, ties to the lower index —
+// and each item's position in it (read-only). The orders of all constraints
+// are built together on first use. Validate admits no score that is NaN, so
+// on a valid instance the order ranks items as comparing their scores does.
+func (ins *Instance) DropOrder(i int) (order, pos []int32) {
+	ins.dropOnce.Do(ins.buildDropOrders)
+	n, m := ins.N, ins.M
+	order = ins.dropBlock[i*n : (i+1)*n : (i+1)*n]
+	pos = ins.dropBlock[(m+i)*n : (m+i+1)*n : (m+i+1)*n]
+	return order, pos
+}
+
+// buildDropOrders sorts each row's items on a uint64 key: the complemented
+// bits of the score — monotone in a non-negative float, so ascending keys
+// mean descending scores — with the low ⌈log₂N⌉ bits replaced by the item.
+// Two scores that differ only in those low bits may then sit out of order,
+// but only next to each other, so one insertion pass with the exact
+// comparator (score descending, then item ascending) finishes the sort.
+func (ins *Instance) buildDropOrders() {
+	n, m := ins.N, ins.M
+	block := make([]int32, 2*m*n)
+	keys := make([]uint64, n)
+	score := make([]float64, n)
+	low := uint64(1)<<bits.Len(uint(n-1)) - 1
+	for i, row := range ins.Weight {
+		for j := range score {
+			s := row[j] / ins.Profit[j]
+			if s == 0 {
+				s = 0 // −0 would key after every positive score
+			}
+			score[j] = s
+			keys[j] = ^math.Float64bits(s)&^low | uint64(j)
+		}
+		slices.Sort(keys)
+		order := block[i*n : (i+1)*n]
+		for k, key := range keys {
+			j := int32(key & low)
+			t := k
+			for ; t > 0; t-- {
+				prev := order[t-1]
+				if score[j] < score[prev] || score[j] == score[prev] && j > prev {
+					break
+				}
+				order[t] = prev
+			}
+			order[t] = j
+		}
+		pos := block[(m+i)*n : (m+i+1)*n]
+		for k, j := range order {
+			pos[j] = int32(k)
+		}
+	}
+	ins.dropBlock = block
 }

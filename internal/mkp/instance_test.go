@@ -52,6 +52,9 @@ func TestValidateRejects(t *testing.T) {
 		"NaN weight":        func(i *Instance) { i.Weight[1][2] = math.NaN() },
 		"zero capacity":     func(i *Instance) { i.Capacity[0] = 0 },
 		"negative capacity": func(i *Instance) { i.Capacity[1] = -2 },
+		"+Inf profit":       func(i *Instance) { i.Profit[3] = math.Inf(1) },
+		"+Inf weight":       func(i *Instance) { i.Weight[0][2] = math.Inf(1) },
+		"+Inf capacity":     func(i *Instance) { i.Capacity[0] = math.Inf(1) },
 	}
 	for name, mutate := range cases {
 		ins := tiny()

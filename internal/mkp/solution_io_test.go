@@ -108,6 +108,7 @@ func FuzzReadORLib(f *testing.F) {
 	f.Add("")
 	f.Add("2 1 0\n1 2\n1 1\n3\n")
 	f.Add("4 2 0 10 6 4 7")
+	f.Add("2 1 0 inf 1 inf 1 inf")
 	f.Fuzz(func(t *testing.T, in string) {
 		ins, err := ReadORLib(strings.NewReader(in), "fuzz")
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -37,7 +38,6 @@ type Searcher struct {
 
 	st       *mkp.State
 	rank     []int     // items by decreasing pseudo-utility (the instance's, read-only)
-	sufMin   []float64 // suffix min of MinWeight along rank (scan early exit)
 	core     *Core     // adopted LP core; nil = unrestricted
 	order    []int     // scan order: core.Order under guidance, rank otherwise
 	orderSuf []float64 // suffix min of MinWeight along order
@@ -66,6 +66,13 @@ type Searcher struct {
 	deferBuf  []int32       // addPhase's positions to walk again
 	screen    []screenEntry // refillSweep's out-items
 	outSet    *bitset.Set   // swapPass's out-items, indexed by profit rank
+
+	// pickDrop's index, ⌈N/64⌉ words per constraint in each half: the first
+	// half holds X's words as of that constraint's last pickDrop, the second
+	// its packed items as a bitset over positions in its drop order. One
+	// slice header, not two: with two, the struct and its 8-byte allocation
+	// header outgrow the 576-byte size class.
+	drop []uint64
 }
 
 // screenEntry is an out-item on refillSweep's list with its weights in the
@@ -82,15 +89,13 @@ func NewSearcher(ins *mkp.Instance, seed uint64) (*Searcher, error) {
 		return nil, err
 	}
 	rank := mkp.RankByUtility(ins)
-	sufMin := mkp.SuffixMinWeight(ins, rank)
 	s := &Searcher{
 		ins:      ins,
 		r:        rng.New(seed),
 		st:       mkp.NewState(ins),
 		rank:     rank,
-		sufMin:   sufMin,
 		order:    rank,
-		orderSuf: sufMin,
+		orderSuf: ins.RankSuffixMin(),
 		pos:      make([]int32, ins.N),
 		history:  make([]int64, ins.N),
 		tabuAdd:  make([]int64, ins.N),
@@ -100,6 +105,7 @@ func NewSearcher(ins *mkp.Instance, seed uint64) (*Searcher, error) {
 		deferBuf: make([]int32, 0, ins.N),
 		screen:   make([]screenEntry, 0, ins.N),
 		outSet:   bitset.New(ins.N),
+		drop:     make([]uint64, 2*ins.M*((ins.N+63)/64)),
 	}
 	for k := range s.allPos {
 		s.allPos[k] = int32(k)
@@ -446,30 +452,55 @@ func (s *Searcher) flippedThisMove(j int) bool {
 // constraint i — "the most saturated constraint's least efficient item"
 // (§3.1) — falling back to ignoring tabu status when every packed item is
 // locked, so the search can never deadlock. With probability noise the
-// runner-up is taken instead, decorrelating parallel trajectories.
+// runner-up is taken instead, decorrelating parallel trajectories. Ties go to
+// the lower index: the item is the first index of the strict maximum, the
+// runner-up that of the rest, and the fallback that of the locked items.
+//
+// The packed items are walked best-first, in the instance's drop order for
+// i (decreasing score, ties to the lower index), so the item, the runner-up
+// and the fallback are the first two free items and the first locked one
+// the walk meets. The walk stops at the runner-up: the fallback is read only
+// when there is no free item, and then every packed item has been visited.
 func (s *Searcher) pickDrop(i int, useREM bool, noise float64) int {
+	order, pos := s.ins.DropOrder(i)
+	half := len(s.drop) / 2
+	nw := half / s.ins.M
+	snap := s.drop[i*nw : (i+1)*nw]
+	packed := s.drop[half+i*nw : half+(i+1)*nw]
+	// Bring the position bitset up to date with the words of X that changed
+	// since constraint i was last used. Nothing hooks the changes, so every
+	// path that writes X is covered.
+	for k := range snap {
+		w := s.st.X.Word(k)
+		for d := w ^ snap[k]; d != 0; d &= d - 1 {
+			p := uint(pos[k*64+bits.TrailingZeros64(d)])
+			packed[p/64] ^= 1 << (p % 64)
+		}
+		snap[k] = w
+	}
 	best, second, bestTabu := -1, -1, -1
-	var bestScore, secondScore, bestTabuScore float64
-	row := s.ins.Weight[i]
-	for j := s.st.X.NextSet(0); j >= 0; j = s.st.X.NextSet(j + 1) {
-		if s.core != nil && s.core.In.Get(j) {
-			continue // proven in every improving solution; never drop
-		}
-		score := row[j] / s.ins.Profit[j]
-		blocked := s.tabuDrop[j] > s.moves
-		if useREM && !blocked {
-			blocked = s.rem.tabu(j) || s.flippedThisMove(j)
-		}
-		switch {
-		case blocked:
-			if bestTabu == -1 || score > bestTabuScore {
-				bestTabu, bestTabuScore = j, score
+walk:
+	for k, w := range packed {
+		for ; w != 0; w &= w - 1 {
+			j := int(order[k*64+bits.TrailingZeros64(w)])
+			if s.core != nil && s.core.In.Get(j) {
+				continue // proven in every improving solution; never drop
 			}
-		case best == -1 || score > bestScore:
-			second, secondScore = best, bestScore
-			best, bestScore = j, score
-		case second == -1 || score > secondScore:
-			second, secondScore = j, score
+			blocked := s.tabuDrop[j] > s.moves
+			if useREM && !blocked {
+				blocked = s.rem.tabu(j) || s.flippedThisMove(j)
+			}
+			switch {
+			case blocked:
+				if bestTabu == -1 {
+					bestTabu = j
+				}
+			case best == -1:
+				best = j
+			default:
+				second = j
+				break walk
+			}
 		}
 	}
 	if best == -1 {
@@ -804,7 +835,7 @@ func (s *Searcher) adoptCore(c *Core) {
 	}
 	s.core = c
 	if c == nil {
-		s.order, s.orderSuf = s.rank, s.sufMin
+		s.order, s.orderSuf = s.rank, s.ins.RankSuffixMin()
 	} else {
 		s.order = c.Order
 		s.orderSuf = mkp.SuffixMinWeight(s.ins, c.Order)

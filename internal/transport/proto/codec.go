@@ -434,7 +434,10 @@ func EncodeHello(h Hello) ([]byte, error) {
 	if len(ins.Profit) != ins.N || len(ins.Capacity) != ins.M || len(ins.Weight) != ins.M {
 		return nil, fmt.Errorf("proto: hello instance arrays inconsistent with n=%d m=%d", ins.N, ins.M)
 	}
-	dst := appendInt(nil, h.Node)
+	// Node, seed, name, n, m, best known, the N+M+M·N floats, epoch and the
+	// member list: sized up front, the payload is one allocation.
+	size := 8 + 8 + 4 + len(ins.Name) + 8 + 8 + 8 + 8*(ins.N+ins.M+ins.M*ins.N) + 8 + 4 + 8*len(h.Members)
+	dst := appendInt(make([]byte, 0, size), h.Node)
 	dst = appendU64(dst, h.Seed)
 	dst = appendString(dst, ins.Name)
 	dst = appendInt(dst, ins.N)

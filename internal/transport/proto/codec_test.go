@@ -435,6 +435,23 @@ func TestHelloElasticRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodeHelloAllocatesOnce: the handshake payload is sized up front, so
+// encoding it is one allocation of exactly the bytes it carries, however
+// large the instance.
+func TestEncodeHelloAllocatesOnce(t *testing.T) {
+	h := Hello{Node: 7, Seed: 99, Ins: codecInstance(250, 10, 81), Epoch: 3, Members: []int{1, 3, 7}}
+	data, err := EncodeHello(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) != cap(data) {
+		t.Fatalf("payload of %d bytes in a buffer of %d", len(data), cap(data))
+	}
+	if allocs := testing.AllocsPerRun(20, func() { _, _ = EncodeHello(h) }); allocs != 1 {
+		t.Fatalf("EncodeHello made %v allocations, want 1", allocs)
+	}
+}
+
 // TestHelloRejectsInvalidMember: a membership view naming node 0 (the master)
 // or a negative id is structural corruption, not data.
 func TestHelloRejectsInvalidMember(t *testing.T) {
