@@ -1,9 +1,15 @@
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: build vet test race check loc bench kernel solverbench bench-guard perfbench-test ab chaos chaos-wire chaos-smoke metrics metrics-smoke crash-resume transport worker-smoke serve-smoke elastic elastic-smoke portfolio-smoke
+.PHONY: build fmt vet test race check loc bench kernel solverbench bench-guard perfbench-test ab chaos chaos-wire chaos-smoke metrics metrics-smoke crash-resume transport worker-smoke serve-smoke elastic elastic-smoke portfolio-smoke
 
 build:
 	$(GO) build ./...
+
+# fmt fails, naming the files, when gofmt would reformat a tracked Go file.
+fmt:
+	@out="$$($(GOFMT) -l $$(git ls-files '*.go'))"; \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -14,9 +20,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# check is the CI gate: compile everything, vet, race-test, then a short
-# kernel benchmark smoke so evaluator regressions fail loudly.
-check: build vet race bench
+# check is the CI gate: check formatting, compile everything, vet, race-test,
+# then a short kernel benchmark smoke so evaluator regressions fail loudly.
+check: fmt build vet race bench
 
 # loc prints the root module's non-test Go line count per package directory,
 # then in total — the size measure design changes are judged by. perfbench/

@@ -223,29 +223,6 @@ func (s *Set) String() string {
 	return b.String()
 }
 
-// AppendKey appends the set's comparable key bytes to dst and returns the
-// extended slice. The key is the little-endian concatenation of the words:
-// two sets of the same length have equal key bytes iff they are Equal (it is
-// an exact encoding, not a hash — no collisions). Callers on hot paths pass a
-// reused scratch buffer and look maps up via string(buf), which Go compiles
-// to an allocation-free map access; only inserting a new key materializes a
-// string.
-func (s *Set) AppendKey(dst []byte) []byte {
-	for _, w := range s.words {
-		dst = append(dst,
-			byte(w), byte(w>>8), byte(w>>16), byte(w>>24),
-			byte(w>>32), byte(w>>40), byte(w>>48), byte(w>>56))
-	}
-	return dst
-}
-
-// Key returns a compact comparable key for map deduplication of solutions.
-// Two sets of the same length have equal keys iff they are Equal. Key
-// allocates its result; prefer AppendKey with a scratch buffer on hot paths.
-func (s *Set) Key() string {
-	return string(s.AppendKey(make([]byte, 0, len(s.words)*8)))
-}
-
 // check panics with an indexError unless 0 <= i < Len(). A negative i
 // converts to a huge unsigned value, so one compare covers both ends.
 func (s *Set) check(i int) {

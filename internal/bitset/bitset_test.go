@@ -219,14 +219,6 @@ func TestStringAndKey(t *testing.T) {
 	if s.String() != "1010" {
 		t.Fatalf("String = %q, want 1010", s.String())
 	}
-	o := FromIndices(4, []int{0, 2})
-	if s.Key() != o.Key() {
-		t.Fatal("equal sets have different keys")
-	}
-	o.Set(1)
-	if s.Key() == o.Key() {
-		t.Fatal("different sets share a key")
-	}
 }
 
 // randomSet builds a set of n bits with each bit set with probability 1/2.
@@ -406,29 +398,6 @@ func TestQuickNextSetMatchesForEach(t *testing.T) {
 	}
 }
 
-func TestAppendKeyMatchesKeyAndEqual(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + r.Intn(150)
-		a, b := randomSet(r, n), randomSet(r, n)
-		if string(a.AppendKey(nil)) != a.Key() {
-			t.Fatal("AppendKey disagrees with Key")
-		}
-		sameKey := string(a.AppendKey(nil)) == string(b.AppendKey(nil))
-		if sameKey != a.Equal(b) {
-			t.Fatalf("n=%d: key equality %v but Equal %v", n, sameKey, a.Equal(b))
-		}
-	}
-	// Reuse: AppendKey must append, not overwrite.
-	s := New(64)
-	s.Set(3)
-	buf := []byte("prefix")
-	buf = s.AppendKey(buf)
-	if string(buf[:6]) != "prefix" || len(buf) != 6+8 {
-		t.Fatalf("AppendKey clobbered the prefix: %q", buf)
-	}
-}
-
 func BenchmarkNextSet(b *testing.B) {
 	s := New(500)
 	for i := 0; i < 500; i += 3 {
@@ -441,17 +410,5 @@ func BenchmarkNextSet(b *testing.B) {
 			sum += j
 		}
 		_ = sum
-	}
-}
-
-func BenchmarkAppendKey(b *testing.B) {
-	s := New(500)
-	for i := 0; i < 500; i += 2 {
-		s.Set(i)
-	}
-	buf := make([]byte, 0, 64)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		buf = s.AppendKey(buf[:0])
 	}
 }

@@ -37,8 +37,6 @@ type AsyncOptions struct {
 	InitialScore int
 	// Base supplies structural tabu parameters; zero value means defaults.
 	Base tabu.Params
-	// Latency injects per-message farm delay.
-	Latency time.Duration
 	// Ring restricts each peer's broadcasts to its two ring neighbors
 	// instead of all peers. Improvements then propagate hop by hop — less
 	// traffic, slower convergence; the classic trade-off of decentralized
@@ -101,7 +99,7 @@ func SolveAsync(ins *mkp.Instance, opts AsyncOptions) (*Result, error) {
 	}
 
 	start := time.Now()
-	net := inproc.New(opts.P, inproc.WithLatency(opts.Latency), inproc.WithMailboxSize(4*opts.P*int(opts.TotalMoves/opts.ChunkMoves+1)))
+	net := inproc.New(opts.P, inproc.WithMailboxSize(4*opts.P*int(opts.TotalMoves/opts.ChunkMoves+1)))
 	root := rng.New(opts.Seed)
 	reports := make(chan peerReport, opts.P)
 	for i := 0; i < opts.P; i++ {

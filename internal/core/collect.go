@@ -216,7 +216,7 @@ func (c *collector) collect(round int, budgets []int64, results []*tabu.Result) 
 				}
 			}
 		}
-		msg, ok := c.net.RecvTimeout(0, poll)
+		msg, ok := c.net.RecvTimeout(poll)
 		if !ok {
 			trySteal()
 			if poll < wait {

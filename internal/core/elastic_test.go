@@ -392,7 +392,6 @@ func TestElasticOptionValidation(t *testing.T) {
 	}{
 		{"workers", Options{P: 1, Rounds: 1, Elastic: el, Workers: []string{"127.0.0.1:1"}}},
 		{"faults", Options{P: 1, Rounds: 1, Elastic: el, Faults: &inproc.FaultPlan{Seed: 1}}},
-		{"latency", Options{P: 1, Rounds: 1, Elastic: el, Latency: time.Millisecond}},
 		{"min>p", Options{P: 2, Rounds: 1, Elastic: &ElasticConfig{Listen: "127.0.0.1:0", Min: 3}}},
 	}
 	for _, tc := range cases {

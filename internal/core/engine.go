@@ -62,6 +62,11 @@ func NewEngine(ins *mkp.Instance, algo Algorithm, opts Options) (*Engine, error)
 		if err := opts.Faults.Validate(); err != nil {
 			return nil, err
 		}
+		for node := range opts.Faults.CrashAt {
+			if node < 1 || node > opts.P {
+				return nil, fmt.Errorf("core: Faults.CrashAt names node %d, but the slaves are nodes 1..%d", node, opts.P)
+			}
+		}
 	}
 	if opts.Supervise != nil {
 		if err := opts.Supervise.Validate(); err != nil {
@@ -74,8 +79,8 @@ func NewEngine(ins *mkp.Instance, algo Algorithm, opts Options) (*Engine, error)
 		}
 	}
 	// Both wire admission paths run the slaves as remote processes on a
-	// wire.Fleet: the in-process substrate owns fault injection, supervised
-	// respawn and simulated latency, and the wire codec does not ship a core.
+	// wire.Fleet: the in-process substrate owns fault injection and
+	// supervised respawn, and the wire codec does not ship a core.
 	sub := ""
 	if len(opts.Workers) > 0 {
 		sub = "Workers"
@@ -91,8 +96,6 @@ func NewEngine(ins *mkp.Instance, algo Algorithm, opts Options) (*Engine, error)
 		return nil, fmt.Errorf("core: %s and Faults are mutually exclusive (fault injection is an in-process substrate feature; Chaos is its wire mirror)", sub)
 	case opts.Supervise != nil:
 		return nil, fmt.Errorf("core: %s and Supervise are mutually exclusive (respawn needs in-process slaves)", sub)
-	case opts.Latency != 0:
-		return nil, fmt.Errorf("core: %s and Latency are mutually exclusive (real links have real latency)", sub)
 	case opts.Guide != nil:
 		return nil, fmt.Errorf("core: %s and Guide are mutually exclusive (a core is process-local guidance the wire codec does not ship)", sub)
 	}

@@ -162,12 +162,10 @@ func TestOptionExclusions(t *testing.T) {
 	}{
 		{"workers+faults", Options{P: 1, Workers: roster, Faults: faults}, "Faults"},
 		{"workers+supervise", Options{P: 1, Workers: roster, Supervise: sup}, "Supervise"},
-		{"workers+latency", Options{P: 1, Workers: roster, Latency: time.Millisecond}, "Latency"},
 		{"workers+guide", Options{Workers: []string{"127.0.0.1:1", "127.0.0.1:2"}, Guide: &GuideConfig{}}, "Guide"},
 		{"workers p!=len", Options{P: 2, Workers: roster}, "worker addresses"},
 		{"elastic+faults", Options{P: 1, Elastic: el, Faults: faults}, "Faults"},
 		{"elastic+supervise", Options{P: 1, Elastic: el, Supervise: sup}, "Supervise"},
-		{"elastic+latency", Options{P: 1, Elastic: el, Latency: time.Millisecond}, "Latency"},
 		{"elastic+guide", Options{P: 1, Elastic: el, Guide: &GuideConfig{}}, "Guide"},
 		{"elastic+workers", Options{P: 1, Elastic: el, Workers: roster}, "Workers"},
 		{"elastic+resume", Options{P: 1, Elastic: el, Resume: &Checkpoint{}}, "Resume"},

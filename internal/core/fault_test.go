@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -31,10 +32,9 @@ func TestFaultChaosCTS2(t *testing.T) {
 	}
 
 	chaotic := base
-	// Generous enough that a healthy slave never misses a deadline even
-	// under the race detector's ~20x slowdown; the calibrated
-	// budget-proportional deadline takes over after the first round, so the
-	// cap is only paid while waiting on the genuinely crashed slave.
+	// Never reached: an in-process rendezvous ends once the farm has gone
+	// quiet, not on a clock, so a healthy slave cannot miss and the crashed
+	// slave's silence is seen at quiescence.
 	chaotic.SlaveTimeout = 5 * time.Second
 	chaotic.Faults = &inproc.FaultPlan{
 		Seed:     7,
@@ -255,6 +255,36 @@ func TestFaultAllSlavesFailedErrors(t *testing.T) {
 		t.Fatalf("want all-slaves-failed error, got %v", err)
 	}
 	waitForGoroutines(t, before)
+}
+
+// TestFaultCrashAtNodeRange: a crash plan may name only a slave, nodes 1..P,
+// with P taken after SEQ forces it to 1. The farm ignores any other key, so
+// accepting one would run fault-free while claiming a crash.
+func TestFaultCrashAtNodeRange(t *testing.T) {
+	ins := testInstance(20, 2, 8)
+	const p = 3
+	for _, tc := range []struct {
+		algo Algorithm
+		node int
+		ok   bool
+	}{
+		{CTS2, 0, false}, {CTS2, p + 1, false}, {CTS2, -1, false}, {CTS2, p, true},
+		{SEQ, 2, false}, {SEQ, 1, true},
+	} {
+		e, err := NewEngine(ins, tc.algo, Options{P: p, Seed: 1, Rounds: 1, RoundMoves: 50,
+			Faults: &inproc.FaultPlan{Seed: 1, CrashAt: map[int]int64{tc.node: 0}}})
+		if err == nil {
+			e.Close()
+		}
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%v CrashAt{%d: 0}: refused: %v", tc.algo, tc.node, err)
+		case !tc.ok && err == nil:
+			t.Errorf("%v CrashAt{%d: 0}: accepted", tc.algo, tc.node)
+		case !tc.ok && !strings.Contains(err.Error(), fmt.Sprintf("node %d", tc.node)):
+			t.Errorf("%v CrashAt{%d: 0}: error does not name the node: %v", tc.algo, tc.node, err)
+		}
+	}
 }
 
 // TestFaultFreeAsyncAliasingRace is the -race regression for solution

@@ -131,7 +131,7 @@ func (h *healer) superviseRound(round int) {
 // round results, which precede the ack on the node's link, are dropped.
 func (h *healer) awaitAck(node int) bool {
 	for {
-		msg, ok := h.farm.RecvTimeout(0, h.opts.SlaveTimeout)
+		msg, ok := h.farm.RecvTimeout(h.opts.SlaveTimeout)
 		if !ok {
 			return false
 		}

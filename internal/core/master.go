@@ -196,7 +196,7 @@ func newMaster(ins *mkp.Instance, algo Algorithm, opts Options) (*master, error)
 		}
 		net = fleet
 	} else {
-		farmOpts := []inproc.Option{inproc.WithLatency(opts.Latency)}
+		var farmOpts []inproc.Option
 		if opts.Faults != nil {
 			farmOpts = append(farmOpts, inproc.WithFaults(opts.Faults))
 		}

@@ -144,21 +144,17 @@ type Options struct {
 	// unset, rounds are unlimited. Stats.SimElapsed reports the simulated
 	// clock either way.
 	SimBudget time.Duration
-	// Latency injects a per-message delay in the farm substrate (0 = none).
-	// The delay is charged on the delivery side, so the master's dispatch
-	// fan-out is never serialized by it.
-	Latency time.Duration
 	// Workers, when non-empty, lists the TCP addresses of mkpworker processes
 	// to run the slaves on instead of in-process goroutines. The master dials
 	// the roster into a wire fleet (internal/transport/wire), shipping each
 	// worker the instance and its seed during the handshake, and drives the
 	// run over the wire protocol. P defaults to len(Workers) and must equal it
-	// when both are set. Workers is mutually exclusive with Faults, Supervise
-	// and Latency — those belong to the in-process substrate — and with
-	// Guide, whose core the wire codec does not ship. A wire rendezvous waits
-	// on deadlines (a remote death only ever manifests as silence), so wire
-	// runs are not bitwise comparable to in-process runs; on a healthy fleet
-	// a fixed seed still reaches the identical final best value.
+	// when both are set. Workers is mutually exclusive with Faults and
+	// Supervise — those belong to the in-process substrate — and with Guide,
+	// whose core the wire codec does not ship. A wire rendezvous waits on
+	// deadlines (a remote death only ever manifests as silence), so wire runs
+	// are not bitwise comparable to in-process runs; on a healthy fleet a
+	// fixed seed still reaches the identical final best value.
 	Workers []string
 	// DialTimeout bounds the per-address connect retry loop when Workers is
 	// set, and then that worker's handshake (0 = the wire default, 10s each).
@@ -181,8 +177,7 @@ type Options struct {
 	// lends a straggler's slot to a worker that has already reported this
 	// round). A never-churning elastic fleet reaches the same final best as
 	// the Workers roster run and the in-process run at the same seed.
-	// Mutually exclusive with Workers, Faults, Supervise, Latency, Guide and
-	// Resume.
+	// Mutually exclusive with Workers, Faults, Supervise, Guide and Resume.
 	Elastic *ElasticConfig
 	// Guide, when non-nil, arms LP-guided core search: the master solves the
 	// LP relaxation once at startup, fixes variables by reduced cost against
@@ -217,16 +212,16 @@ type Options struct {
 	// lie about their own contents can accumulate strikes.
 	QuarantineStrikes int
 	// Faults, when non-nil, installs a deterministic fault injector in the
-	// farm substrate: seeded per-link message drop/duplication, per-node
-	// crash-after-k-sends, per-node slowdown. Every rendezvous already
-	// tolerates loss — a wait ends once the farm has gone quiet, lost rounds
-	// are re-dispatched to live slaves, and the run degrades to P−k slaves —
-	// so the plan changes only what is lost, and a faulty run replays bitwise
-	// like a fault-free one (an all-zero plan reproduces the fault-free run).
-	// Failures are counted in Stats (SlaveFailures, Redispatches,
-	// DroppedMessages) and emitted as trace events; OnCheckpoint fires as soon
-	// as a failure is detected so a degraded run is resumable at the last good
-	// rendezvous.
+	// farm substrate: seeded per-link message drop/duplication and per-node
+	// crash-after-k-sends, where CrashAt may name only slaves, nodes 1..P.
+	// Every rendezvous already tolerates loss — a wait ends once the farm has
+	// gone quiet, lost rounds are re-dispatched to live slaves, and the run
+	// degrades to P−k slaves — so the plan changes only what is lost, and a
+	// faulty run replays bitwise like a fault-free one (an all-zero plan
+	// reproduces the fault-free run). Failures are counted in Stats
+	// (SlaveFailures, Redispatches, DroppedMessages) and emitted as trace
+	// events; OnCheckpoint fires as soon as a failure is detected so a
+	// degraded run is resumable at the last good rendezvous.
 	Faults *inproc.FaultPlan
 	// SlaveTimeout caps how long the master waits at a rendezvous on a wire
 	// fleet (Workers or Elastic) for a missing result before re-dispatching or

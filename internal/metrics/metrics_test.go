@@ -103,10 +103,6 @@ func TestHistogramBucketing(t *testing.T) {
 }
 
 func TestBucketHelpers(t *testing.T) {
-	lin := LinearBuckets(10, 5, 3)
-	if len(lin) != 3 || lin[0] != 10 || lin[1] != 15 || lin[2] != 20 {
-		t.Fatalf("LinearBuckets = %v", lin)
-	}
 	exp := ExpBuckets(1, 4, 3)
 	if len(exp) != 3 || exp[0] != 1 || exp[1] != 4 || exp[2] != 16 {
 		t.Fatalf("ExpBuckets = %v", exp)

@@ -90,14 +90,6 @@ func (r *Rand) Perm(dst []int) {
 	}
 }
 
-// Shuffle permutes the first n indices via swap.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // boundedUint64 returns a uniform value in [0, n) using Lemire's widening
 // multiply with rejection, avoiding modulo bias.
 func (r *Rand) boundedUint64(n uint64) uint64 {

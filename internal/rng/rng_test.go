@@ -160,23 +160,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestShuffleKeepsElements(t *testing.T) {
-	r := New(23)
-	s := []int{1, 2, 3, 4, 5, 6}
-	sum := 0
-	for _, v := range s {
-		sum += v
-	}
-	r.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
-	got := 0
-	for _, v := range s {
-		got += v
-	}
-	if got != sum {
-		t.Fatalf("Shuffle changed multiset: %v", s)
-	}
-}
-
 func TestQuickIntnAlwaysInRange(t *testing.T) {
 	f := func(seed uint64, nn uint16) bool {
 		n := int(nn)%1000 + 1

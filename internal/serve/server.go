@@ -158,27 +158,6 @@ func (s *Server) maxP() int {
 	return c
 }
 
-// AddWorkers admits mkpworker addresses into the fleet pool mid-flight,
-// waking any job blocked on capacity. Duplicates are ignored; an address
-// mid-retirement is re-admitted. Fleet mode only.
-func (s *Server) AddWorkers(addrs []string) (int, error) {
-	if !s.pool.isFleet {
-		return 0, fmt.Errorf("server runs in-process slots, not a worker fleet")
-	}
-	return s.pool.addFleet(addrs), nil
-}
-
-// RemoveWorkers drains addresses out of the fleet pool. Free workers leave
-// immediately; leased ones finish their current job first (retiring).
-// Capacity shrinks right away either way. Fleet mode only.
-func (s *Server) RemoveWorkers(addrs []string) (dropped, retiring int, err error) {
-	if !s.pool.isFleet {
-		return 0, 0, fmt.Errorf("server runs in-process slots, not a worker fleet")
-	}
-	dropped, retiring = s.pool.removeFleet(addrs)
-	return dropped, retiring, nil
-}
-
 // admit validates a spec, fills defaults, builds the instance and the job's
 // private observability (registry, trace hub). It does not register or
 // enqueue — recovery and submit share it.

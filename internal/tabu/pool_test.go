@@ -147,7 +147,7 @@ func TestQuickPoolSortedDistinctBounded(t *testing.T) {
 			if i > 0 && sols[i-1].Value < s.Value {
 				return false
 			}
-			k := s.X.Key()
+			k := s.X.String()
 			if seen[k] {
 				return false
 			}

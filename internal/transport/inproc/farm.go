@@ -5,21 +5,18 @@
 // the experiment harness can report the communication volume the cooperative
 // scheme generates.
 //
-// Two substrate behaviors model the realities of a 1997 workstation farm:
+// The farm is purely logical. Nothing injects latency, and the farm reads no
+// clock: a message is deliverable as soon as it is queued. The 1997 link cost
+// is simulated time, which internal/vtime derives from move counts and
+// message sizes; a wall-clock delay here could only slow a run, never change
+// one of its decisions.
 //
-//   - Injected per-message latency is charged on the DELIVERY side: Send
-//     stamps a due time and returns immediately, and the receiver waits until
-//     the message is due. A slow interconnect therefore delays the receiver,
-//     not the sender — the master can fan out a whole round of dispatches
-//     without serializing on the simulated wire.
-//
-//   - A deterministic fault injector (FaultPlan) models lossy links and dead
-//     nodes: seeded per-link message drop and duplication, per-node
-//     crash-after-k-sends (the node goes fail-silent: later sends are
-//     swallowed), and per-node delivery slowdown factors. Every decision is
-//     drawn from a per-link stream derived from the plan's seed, so a fault
-//     schedule replays identically for a fixed plan regardless of goroutine
-//     interleaving across links.
+// A deterministic fault injector (FaultPlan) models lossy links and dead
+// nodes: seeded per-link message drop and duplication, and per-node
+// crash-after-k-sends (the node goes fail-silent: later sends are swallowed).
+// Every decision is drawn from a per-link stream derived from the plan's seed,
+// so a fault schedule replays identically for a fixed plan regardless of
+// goroutine interleaving across links.
 //
 // The paper's master–slave scheme is synchronous and centralized; the
 // decentralized asynchronous extension polls with TryRecv. Both are
@@ -41,15 +38,6 @@ import (
 	"repro/internal/transport"
 )
 
-// envelope wraps a message with its substrate-private delivery stamps. The
-// shared transport.Message carries no timing: the due time and the send time
-// are in-process simulation state, meaningless on a real wire.
-type envelope struct {
-	msg       transport.Message
-	deliverAt time.Time // zero when the message is due immediately
-	sentAt    time.Time // stamped only when metrics are armed (delivery latency)
-}
-
 // FaultPlan configures deterministic fault injection. The zero plan injects
 // nothing; rates are probabilities in [0, 1]. All decisions are drawn from
 // per-directed-link streams seeded from Seed, so two farms with the same plan
@@ -67,14 +55,9 @@ type FaultPlan struct {
 	// again — how a partitioned or dead PVM task appears to its peers).
 	// A budget of 0 crashes the node before its first send.
 	CrashAt map[int]int64
-	// Slowdown maps a node to a factor multiplying the farm's injected
-	// latency for messages it sends (a slow workstation on a shared link).
-	// Factors below 1 are ignored; with zero base latency there is nothing
-	// to slow down.
-	Slowdown map[int]float64
 }
 
-// Validate rejects out-of-range rates and factors.
+// Validate rejects out-of-range rates and negative crash budgets.
 func (p *FaultPlan) Validate() error {
 	if p.DropRate < 0 || p.DropRate > 1 {
 		return fmt.Errorf("inproc: DropRate %v outside [0,1]", p.DropRate)
@@ -96,7 +79,7 @@ func (p *FaultPlan) Validate() error {
 type mailbox struct {
 	mu      sync.Mutex
 	notFull *sync.Cond
-	queue   []envelope
+	queue   []transport.Message
 	cap     int
 	arrival chan struct{}  // 1-token wakeup for receivers
 	depth   *metrics.Gauge // queue length after each put/pop; nil when disabled
@@ -108,12 +91,12 @@ func newMailbox(capacity int) *mailbox {
 	return b
 }
 
-func (b *mailbox) put(e envelope) {
+func (b *mailbox) put(m transport.Message) {
 	b.mu.Lock()
 	for len(b.queue) >= b.cap {
 		b.notFull.Wait()
 	}
-	b.queue = append(b.queue, e)
+	b.queue = append(b.queue, m)
 	b.depth.Set(float64(len(b.queue)))
 	b.mu.Unlock()
 	b.signal()
@@ -126,19 +109,14 @@ func (b *mailbox) signal() {
 	}
 }
 
-// pop removes the head message. When dueOnly is set, a head that is not yet
-// due is left in place (TryRecv semantics); otherwise the caller is expected
-// to sleep out the remaining delivery delay.
-func (b *mailbox) pop(dueOnly bool) (envelope, bool) {
+// pop removes the head message, if there is one.
+func (b *mailbox) pop() (transport.Message, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if len(b.queue) == 0 {
-		return envelope{}, false
+		return transport.Message{}, false
 	}
-	e := b.queue[0]
-	if dueOnly && time.Until(e.deliverAt) > 0 {
-		return envelope{}, false
-	}
+	m := b.queue[0]
 	copy(b.queue, b.queue[1:])
 	b.queue = b.queue[:len(b.queue)-1]
 	b.depth.Set(float64(len(b.queue)))
@@ -146,7 +124,7 @@ func (b *mailbox) pop(dueOnly bool) (envelope, bool) {
 	if len(b.queue) > 0 {
 		b.signal() // keep the token alive for coalesced arrivals
 	}
-	return e, true
+	return m, true
 }
 
 // Farm connects n nodes (0..n-1) with a full crossbar of FIFO mailboxes. It
@@ -154,11 +132,10 @@ func (b *mailbox) pop(dueOnly bool) (envelope, bool) {
 // transport.Transport. Crashed, Revive, Drain, TryRecv and Nodes are the
 // in-process extras the supervisor and the asynchronous scheme use.
 type Farm struct {
-	n       int
-	latency time.Duration
-	boxCap  int
-	boxes   []*mailbox
-	faults  *FaultPlan
+	n      int
+	boxCap int
+	boxes  []*mailbox
+	faults *FaultPlan
 
 	msgs    atomic.Int64
 	bytes   atomic.Int64
@@ -177,27 +154,19 @@ type Farm struct {
 	holding []bool
 
 	// Metric handles, all nil unless WithMetrics installed a registry. The
-	// counters mirror the atomic Stats counters exactly; the histogram and
-	// the per-node mailbox depth gauges are delivery-side telemetry that a
-	// Stats snapshot cannot give (they are observed as messages move, not
-	// at the end of the run).
+	// counters mirror the atomic Stats counters exactly; the per-node
+	// mailbox depth gauges are delivery-side telemetry that a Stats snapshot
+	// cannot give (they are observed as messages move, not at the end of the
+	// run).
 	reg      *metrics.Registry
 	mMsgs    *metrics.Counter
 	mBytes   *metrics.Counter
 	mDropped *metrics.Counter
 	mDups    *metrics.Counter
-	mLatency *metrics.Histogram
 }
 
 // Option configures a Farm.
 type Option func(*Farm)
-
-// WithLatency makes every delivery due d after its send, modeling link
-// latency. The delay is charged to the receiver (delivery side), not the
-// sender. The default is zero (in-process speed).
-func WithLatency(d time.Duration) Option {
-	return func(f *Farm) { f.latency = d }
-}
 
 // WithMailboxSize sets each node's mailbox capacity (default 1024). Senders
 // block while the destination mailbox is full.
@@ -216,16 +185,11 @@ func WithFaults(p *FaultPlan) Option {
 }
 
 // WithMetrics installs a metrics registry: message/byte/drop/duplicate
-// counters (mirroring Stats), per-node `farm_mailbox_depth` gauges, and a
-// `farm_delivery_latency_seconds` histogram measured from send to receive.
-// A nil registry leaves the farm uninstrumented (one nil-check per record).
+// counters (mirroring Stats) and per-node `farm_mailbox_depth` gauges. A nil
+// registry leaves the farm uninstrumented (one nil-check per record).
 func WithMetrics(r *metrics.Registry) Option {
 	return func(f *Farm) { f.reg = r }
 }
-
-// deliveryLatencyBuckets spans in-process delivery (microseconds) through
-// injected link latency and slowdown factors (seconds).
-var deliveryLatencyBuckets = metrics.ExpBuckets(1e-6, 4, 14) // 1µs .. ~67s
 
 // New creates a farm of n nodes. It panics if n < 1 or if a configured fault
 // plan is invalid.
@@ -270,12 +234,10 @@ func New(n int, opts ...Option) *Farm {
 		f.reg.SetHelp("farm_dropped_total", "Messages swallowed by drop faults or crashed senders.")
 		f.reg.SetHelp("farm_duplicated_total", "Messages the fault injector delivered twice.")
 		f.reg.SetHelp("farm_mailbox_depth", "Current queue length of each node's mailbox.")
-		f.reg.SetHelp("farm_delivery_latency_seconds", "Send-to-receive latency per delivered message.")
 		f.mMsgs = f.reg.Counter("farm_messages_total")
 		f.mBytes = f.reg.Counter("farm_bytes_total")
 		f.mDropped = f.reg.Counter("farm_dropped_total")
 		f.mDups = f.reg.Counter("farm_duplicated_total")
-		f.mLatency = f.reg.Histogram("farm_delivery_latency_seconds", deliveryLatencyBuckets)
 		for i := range f.boxes {
 			f.boxes[i].depth = f.reg.Gauge("farm_mailbox_depth", "node", strconv.Itoa(i))
 		}
@@ -289,9 +251,8 @@ func (f *Farm) Nodes() int { return f.n }
 // Send delivers a message from node `from` to node `to`, subject to the
 // configured fault plan. size is the accounted payload size in bytes (use
 // proto.SolutionSize and friends). Send blocks only when the destination
-// mailbox is full; injected latency delays the receiver, never the sender. A
-// dropped or crashed-sender message returns nil — exactly what the sender of
-// a lost datagram observes.
+// mailbox is full. A dropped or crashed-sender message returns nil — exactly
+// what the sender of a lost datagram observes.
 func (f *Farm) Send(from, to int, tag string, payload any, size int) error {
 	return f.send(from, to, tag, payload, size, false)
 }
@@ -308,7 +269,6 @@ func (f *Farm) send(from, to int, tag string, payload any, size int, control boo
 	if from < 0 || from >= f.n || to < 0 || to >= f.n {
 		return fmt.Errorf("inproc: bad endpoints %d -> %d (n=%d)", from, to, f.n)
 	}
-	delay := f.latency
 	copies := 1
 	if f.faults != nil && !control {
 		f.mu.Lock()
@@ -331,18 +291,9 @@ func (f *Farm) send(from, to int, tag string, payload any, size int, control boo
 			f.dups.Add(1)
 			f.mDups.Inc()
 		}
-		if s, ok := f.faults.Slowdown[from]; ok && s > 1 {
-			delay = time.Duration(float64(delay) * s)
-		}
 		f.mu.Unlock()
 	}
-	e := envelope{msg: transport.Message{From: from, To: to, Tag: tag, Payload: payload, Size: size}}
-	if delay > 0 {
-		e.deliverAt = time.Now().Add(delay)
-	}
-	if f.reg != nil {
-		e.sentAt = time.Now()
-	}
+	m := transport.Message{From: from, To: to, Tag: tag, Payload: payload, Size: size}
 	for c := 0; c < copies; c++ {
 		f.msgs.Add(1)
 		f.bytes.Add(int64(size))
@@ -354,7 +305,7 @@ func (f *Farm) send(from, to int, tag string, payload any, size int, control boo
 			f.busy++ // counted before a receiver can take it
 		}
 		f.mu.Unlock()
-		f.boxes[to].put(e)
+		f.boxes[to].put(m)
 	}
 	return nil
 }
@@ -371,71 +322,52 @@ func (f *Farm) linkStream(from, to int) *rng.Rand {
 	return r
 }
 
-// Recv blocks until a message for node arrives and is due.
+// Recv blocks until a message for node arrives.
 func (f *Farm) Recv(node int) transport.Message {
-	m, _ := f.recv(node, -1)
+	m, _ := f.recv(node, false)
 	return m
 }
 
-// RecvTimeout waits for a message to ARRIVE for node. For node 0, the
-// master, it returns ok=false exactly when nothing more can arrive — no
-// message is queued for a slave (due or not), no slave holds one and node
-// 0's mailbox is empty — and never because d elapsed. For other nodes d
-// bounds the silence. Once a message has arrived, the remaining injected
-// delivery delay is waited out: the wait bounds silence, not slowness.
-func (f *Farm) RecvTimeout(node int, d time.Duration) (transport.Message, bool) {
-	return f.recv(node, d)
+// RecvTimeout is the master's wait: it returns the next message for node 0,
+// or ok=false exactly when nothing more can arrive — no message is queued for
+// a slave, no slave holds one and node 0's mailbox is empty. d is unused: the
+// farm ends a wait at quiescence, never on a clock. It is in the signature
+// for a wire fleet, which cannot see remote work.
+func (f *Farm) RecvTimeout(d time.Duration) (transport.Message, bool) {
+	return f.recv(0, true)
 }
 
-// recv waits for the next message; d < 0 means wait forever.
-func (f *Farm) recv(node int, d time.Duration) (transport.Message, bool) {
+// recv waits for node's next message. With untilQuiet it gives up once the
+// farm has gone quiet.
+func (f *Farm) recv(node int, untilQuiet bool) (transport.Message, bool) {
 	f.mark(node, false)
 	box := f.boxes[node]
-	var timer *time.Timer
-	if d >= 0 && node != 0 {
-		timer = time.NewTimer(d)
-		defer timer.Stop()
-	}
 	for {
 		// Read the count before the mailbox: a slave queues its reply before
 		// it receives again, so at zero every reply is already in the box.
 		f.mu.Lock()
-		quiet := d >= 0 && node == 0 && f.busy == 0
+		quiet := untilQuiet && f.busy == 0
 		f.mu.Unlock()
-		if e, ok := box.pop(false); ok {
+		if m, ok := box.pop(); ok {
 			f.mark(node, true)
-			if wait := time.Until(e.deliverAt); wait > 0 {
-				time.Sleep(wait)
-			}
-			f.observeDelivery(e)
-			return e.msg, true
+			return m, true
 		}
 		if quiet {
 			return transport.Message{}, false
 		}
-		if timer != nil {
-			select {
-			case <-box.arrival:
-			case <-timer.C:
-				return transport.Message{}, false
-			}
-		} else {
-			<-box.arrival
-		}
+		<-box.arrival
 	}
 }
 
-// TryRecv returns a pending due message for node, or ok=false when the
-// mailbox is empty or its head has not reached its delivery time yet. The
-// asynchronous scheme polls with it between moves.
+// TryRecv returns node's head message, or ok=false when its mailbox is
+// empty. The asynchronous scheme polls with it between moves.
 func (f *Farm) TryRecv(node int) (transport.Message, bool) {
 	f.mark(node, false)
-	e, ok := f.boxes[node].pop(true)
+	m, ok := f.boxes[node].pop()
 	if ok {
 		f.mark(node, true)
-		f.observeDelivery(e)
 	}
-	return e.msg, ok
+	return m, ok
 }
 
 // mark records whether slave node holds a message: it takes one off its queue
@@ -463,20 +395,12 @@ func (f *Farm) settle(k int) {
 	}
 }
 
-// observeDelivery records the send-to-receive latency of a delivered message.
-func (f *Farm) observeDelivery(e envelope) {
-	if f.mLatency == nil || e.sentAt.IsZero() {
-		return
-	}
-	f.mLatency.Observe(time.Since(e.sentAt).Seconds())
-}
-
-// Drain discards all pending messages for node (due or not) and returns how
-// many there were.
+// Drain discards all pending messages for node and returns how many there
+// were.
 func (f *Farm) Drain(node int) int {
 	count := 0
 	for {
-		if _, ok := f.boxes[node].pop(false); !ok {
+		if _, ok := f.boxes[node].pop(); !ok {
 			break
 		}
 		count++
@@ -508,10 +432,10 @@ func (f *Farm) Crashed(node int) bool {
 // the mailbox is drained of stale orders (returned as the count), the
 // previous incarnation's hold on its last message ends, the send counter
 // restarts, and the node's crash-after-k fault is cleared — the replacement
-// process gets a working link, while drop/dup/slowdown faults on its links
-// keep applying from the plan. The caller must ensure the previous
-// incarnation has stopped receiving on the node before calling Revive, or
-// the drain races with it.
+// process gets a working link, while drop/dup faults on its links keep
+// applying from the plan. The caller must ensure the previous incarnation has
+// stopped receiving on the node before calling Revive, or the drain races
+// with it.
 func (f *Farm) Revive(node int) int {
 	if node < 0 || node >= f.n {
 		panic(fmt.Sprintf("inproc: Revive of node %d (n=%d)", node, f.n))

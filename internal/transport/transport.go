@@ -9,10 +9,10 @@
 // sends orders, waits for reports with a bound, and reads the traffic
 // counters at the end of a run. Two implementations are provided:
 //
-//   - transport/inproc: goroutine nodes and FIFO mailboxes with injected
-//     latency and a deterministic fault injector — the substrate every seeded
-//     experiment replays on, bit for bit. One Farm is both the master's Hub
-//     and every slave's Transport.
+//   - transport/inproc: goroutine nodes and FIFO mailboxes with a
+//     deterministic fault injector, reading no clock — the substrate every
+//     seeded experiment replays on, bit for bit. One Farm is both the
+//     master's Hub and every slave's Transport.
 //
 //   - transport/wire: separate OS processes over TCP, with length-prefixed
 //     CRC-checked frames and a versioned binary codec (transport/proto) for
@@ -48,22 +48,21 @@ type Transport interface {
 	// message (shutdown, stop orders) that lossy links cannot swallow.
 	// Substrates without an injected failure model may treat it as Send.
 	SendControl(from, to int, tag string, payload any, size int) error
-	// Recv blocks until a message for node arrives and is due.
+	// Recv blocks until a message for node arrives.
 	Recv(node int) Message
 }
 
 // Hub is the master's view of the fabric: Send and SendControl as on
-// Transport, a bounded receive and the traffic counters.
+// Transport, a bounded receive for node 0 and the traffic counters.
 type Hub interface {
 	Send(from, to int, tag string, payload any, size int) error
 	SendControl(from, to int, tag string, payload any, size int) error
-	// RecvTimeout waits for a message to ARRIVE for node; ok=false ends the
-	// wait empty-handed. The in-process farm returns it for node 0 exactly
-	// when nothing more can arrive, never because d elapsed (other nodes wait
-	// up to d); a wire fleet, which cannot see remote work, returns it once d
-	// has passed in silence. The wait bounds silence, not slowness: a message
-	// that arrived is delivered even if its injected delay overruns d.
-	RecvTimeout(node int, d time.Duration) (Message, bool)
+	// RecvTimeout waits for the master's next message; ok=false ends the
+	// wait empty-handed. A message that has arrived is always delivered
+	// first. The in-process farm returns ok=false exactly when nothing more
+	// can arrive, never because d elapsed; a wire fleet, which cannot see
+	// remote work, returns it once d has passed in silence.
+	RecvTimeout(d time.Duration) (Message, bool)
 	// Stats returns a snapshot of the traffic counters.
 	Stats() Stats
 }

@@ -307,19 +307,14 @@ func TestDeadWorkerRedispatch(t *testing.T) {
 	}
 }
 
-// TestWorkersOptionValidation pins the mutual exclusions and arity checks of
-// wire mode at the Solve boundary.
+// TestWorkersOptionValidation pins the arity check of wire mode at the Solve
+// boundary.
 func TestWorkersOptionValidation(t *testing.T) {
 	ins := wireInstance(20, 2, 408)
 	if _, err := core.Solve(ins, core.CTS2, core.Options{
 		P: 2, Seed: 1, Rounds: 1, Workers: []string{"127.0.0.1:1"},
 	}); err == nil {
 		t.Fatal("P != len(Workers) accepted")
-	}
-	if _, err := core.Solve(ins, core.CTS2, core.Options{
-		P: 1, Seed: 1, Rounds: 1, Workers: []string{"127.0.0.1:1"}, Latency: time.Millisecond,
-	}); err == nil {
-		t.Fatal("Workers+Latency accepted")
 	}
 }
 

@@ -513,14 +513,21 @@ func (f *Fleet) Broadcast(tag string, payload any, size int) int {
 	return len(nodes)
 }
 
-// RecvTimeout waits up to d for a message for node 0.
-func (f *Fleet) RecvTimeout(node int, d time.Duration) (transport.Message, bool) {
+// RecvTimeout waits up to d for a message for node 0. A message already in
+// the inbox when the timer fires is delivered, not reported as silence.
+func (f *Fleet) RecvTimeout(d time.Duration) (transport.Message, bool) {
 	timer := time.NewTimer(d)
 	defer timer.Stop()
 	select {
 	case m := <-f.inbox:
 		return m, true
 	case <-timer.C:
+	}
+	// When both cases are ready, select picks one at random: look again.
+	select {
+	case m := <-f.inbox:
+		return m, true
+	default:
 		return transport.Message{}, false
 	}
 }

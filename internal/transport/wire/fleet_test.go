@@ -187,7 +187,7 @@ func TestFleetLeaveArrivesInInbox(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		msg, ok := f.RecvTimeout(0, time.Until(deadline))
+		msg, ok := f.RecvTimeout(time.Until(deadline))
 		if !ok {
 			t.Fatal("leave frame never reached the inbox")
 		}
@@ -199,6 +199,24 @@ func TestFleetLeaveArrivesInInbox(t *testing.T) {
 			t.Fatalf("leave = %+v", leave)
 		}
 		return
+	}
+}
+
+// TestFleetRecvTimeoutPrefersQueued: a result already in the inbox is
+// delivered even when the wait's timer is ready too. The collector polls with
+// a zero wait once its deadline has passed, and a queued result reported as
+// silence there would charge a miss to a healthy slot.
+func TestFleetRecvTimeoutPrefersQueued(t *testing.T) {
+	f, err := newFleet(fleetInstance(20, 3, 5), FleetConfig{SeedFor: func(int) uint64 { return 1 }}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for i := 0; i < 100_000; i++ {
+		f.inbox <- transport.Message{From: 1, To: 0, Tag: proto.TagResult}
+		if _, ok := f.RecvTimeout(0); !ok {
+			t.Fatalf("call %d reported silence with a result queued", i)
+		}
 	}
 }
 

@@ -69,20 +69,6 @@ func (m Model) MoveDuration(n, mcons int) time.Duration {
 	return time.Duration(seconds * float64(time.Second))
 }
 
-// MovesIn returns how many moves fit into the simulated duration d on an
-// n×mcons instance (at least 1 for any positive d).
-func (m Model) MovesIn(d time.Duration, n, mcons int) int64 {
-	per := m.MoveDuration(n, mcons)
-	if per <= 0 {
-		return 1
-	}
-	moves := int64(d / per)
-	if moves < 1 {
-		moves = 1
-	}
-	return moves
-}
-
 // MessageDuration returns the simulated cost of shipping `bytes` over one
 // crossbar link.
 func (m Model) MessageDuration(bytes int) time.Duration {

@@ -44,18 +44,6 @@ func TestMoveDurationScales(t *testing.T) {
 	}
 }
 
-func TestMovesInInvertsMoveDuration(t *testing.T) {
-	m := Alpha()
-	moves := m.MovesIn(time.Second, 100, 10)
-	// 1s / 24µs ≈ 41666.
-	if moves < 40000 || moves > 43000 {
-		t.Fatalf("MovesIn(1s, 100, 10) = %d", moves)
-	}
-	if got := m.MovesIn(time.Nanosecond, 500, 25); got != 1 {
-		t.Fatalf("tiny budget yields %d moves, want 1", got)
-	}
-}
-
 func TestMessageDuration(t *testing.T) {
 	m := Alpha()
 	d := m.MessageDuration(2500) // 20 kb over 200 Mb/s = 100µs, plus 50µs latency
