@@ -52,12 +52,15 @@ chaos:
 # suites under the race detector: the chaosnet injector unit tests, the
 # frame/backoff/eviction hardening pins in wire, and the core chaos battery
 # (zero-plan equivalence, recovery under corruption/resets/partitions, the
-# forged-result quarantine path, slow-stream timeouts).
+# forged-result quarantine path, a stalled or hung live worker, slow-stream
+# timeouts); then the stalled-worker test five times over, since a stall
+# races a wall-clock deadline.
 chaos-wire:
 	$(GO) test -race ./internal/transport/chaosnet ./internal/backoff
 	$(GO) test -race -run 'Chaos|Hard|Evict|Cancel|Corrupt' ./internal/transport/wire
 	$(GO) test -race -run '^TestChaos' ./internal/core
 	$(GO) test -race -run 'SlowClient' ./internal/serve
+	$(GO) test -race -count=5 -run '^TestChaosLiveMemberWaitedOn$$/^stall$$' ./internal/core
 
 # chaos-smoke boots an elastic mkpsolve under a seeded corruption/reset/
 # partition schedule with 7 rejoining mkpworker processes plus one -forge

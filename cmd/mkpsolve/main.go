@@ -60,7 +60,6 @@ func run() int {
 		chunk     = flag.Int64("chunk", 1000, "async: moves between communication points")
 		ring      = flag.Bool("ring", false, "async: ring topology instead of full broadcast")
 		useCore   = flag.Bool("core", false, "arm the LP-guided core search: reduced-cost fixing restricts the tabu scans to a core set, re-thresholded as the incumbent improves")
-		noFix     = flag.Bool("nofix", false, "explicitly disable LP guidance (the default; a -nofix run reproduces the unguided search bit for bit)")
 		fixGap    = flag.Float64("gap", 0, "-core: fixing gap for the reduced-cost rule (0 = default 1, which keeps every strictly better solution when profits are integral)")
 
 		quiet    = flag.Bool("q", false, "print only the best value")
@@ -87,7 +86,7 @@ func run() int {
 		dropRate  = flag.Float64("droprate", 0, "fault injection: probability a message is silently dropped")
 		dupRate   = flag.Float64("duprate", 0, "fault injection: probability a message is delivered twice")
 		crash     = flag.String("crash", "", "fault injection: comma-separated NODE@K specs; node goes fail-silent after K sends (slaves are nodes 1..P)")
-		slaveTO   = flag.Duration("slavetimeout", 0, "-workers/-elastic: upper bound on the per-round rendezvous deadline, after which a silent worker's round is re-dispatched (0 = default 5s; in-process runs need none)")
+		slaveTO   = flag.Duration("slavetimeout", 0, "-workers/-elastic: how long a round order to a still-connected worker is waited on before it is re-dispatched; a worker whose connection is gone is missed at the per-round deadline (0 = default 5s; in-process runs need none)")
 
 		chaosSeed     = flag.Uint64("chaos", 0, "seed for the deterministic network chaos injector on wire connections (-workers/-elastic; armed when any chaos flag is set)")
 		chaosCorrupt  = flag.Float64("chaos-corrupt", 0, "chaos: probability a write has one byte flipped (surfaces as CRC hard-errors, never silent data)")
@@ -120,9 +119,6 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "mkpsolve: observability on http://%s (/metrics, /debug/pprof)\n", srv.Addr())
 	}
 
-	if *useCore && *noFix {
-		return fail(errors.New("-core and -nofix are mutually exclusive"))
-	}
 	if *elastic != "" && *async {
 		return fail(errors.New("-elastic needs the synchronous solver (drop -async)"))
 	}

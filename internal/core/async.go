@@ -223,22 +223,7 @@ func asyncPeer(net *inproc.Farm, id int, ins *mkp.Instance, opts AsyncOptions, r
 			score--
 		}
 		if score <= 0 {
-			d := poolDiameter(res.Pool)
-			clustered, scattered := ins.N/10, ins.N/4
-			if clustered < 1 {
-				clustered = 1
-			}
-			if scattered <= clustered {
-				scattered = clustered + 1
-			}
-			switch {
-			case d <= clustered:
-				strategy = diversifyStrategy(strategy, ins.N)
-			case d >= scattered:
-				strategy = intensifyStrategy(strategy)
-			default:
-				strategy = tabu.RandomStrategy(ins.N, r)
-			}
+			strategy, _ = regenerate(strategy, res.Pool, ins.N, r)
 			score = opts.InitialScore
 			rep.strategyResets++
 		}

@@ -29,7 +29,7 @@ type slaveTable struct {
 	// slaves). nodeFail counts consecutive rounds a node stayed completely
 	// silent; deadAfterMisses in a row kill it. strikes counts results (or
 	// gossip) from node i+1 that failed the master's revalidation; crossing
-	// Options.QuarantineStrikes quarantines the node.
+	// quarantineStrikes quarantines the node.
 	alive    []bool
 	nodeFail []int
 	strikes  []int

@@ -3,12 +3,12 @@
 // acceptance criteria of the hardening layer: an inert chaos plan leaves a
 // wire run bitwise equal to an unwrapped one, a faulted fleet still finishes
 // with a feasible verified best, and a forger is quarantined after
-// QuarantineStrikes rejected results without ever poisoning the incumbent.
+// quarantineStrikes rejected results without ever poisoning the incumbent.
 package core
 
 import (
 	"fmt"
-	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -18,6 +18,7 @@ import (
 	"repro/internal/mkp"
 	"repro/internal/tabu"
 	"repro/internal/trace"
+	"repro/internal/transport"
 	"repro/internal/transport/chaosnet"
 	"repro/internal/transport/proto"
 	"repro/internal/transport/wire"
@@ -167,7 +168,7 @@ func TestChaosBatteryRecovery(t *testing.T) {
 // forged result: a trivially feasible empty assignment claiming an enormous
 // value. The master must reject every one (recomputing the value from the
 // bits), never fold the claimed value into the incumbent, and quarantine the
-// worker after QuarantineStrikes.
+// worker after quarantineStrikes.
 func forgeWorker(t *testing.T, addr string) {
 	s, hello, err := wire.JoinFleet(addr, "forger", nil, wire.WithDialTimeout(5*time.Second))
 	if err != nil {
@@ -372,31 +373,17 @@ func TestChaosRosterQuarantineEvicts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("forger run pays redispatch waits")
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
 	evicted := make(chan struct{})
-	go func() {
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer c.Close()
-		s, hello, err := wire.Accept(c, nil)
-		if err != nil {
-			return
-		}
+	forger := listenWorker(t, func(s *wire.Session, hello proto.Hello) {
 		forge(s, hello)
 		close(evicted)
-	}()
+	})
 
 	ins := testInstance(50, 5, 606)
 	e, err := NewEngine(ins, CTS2, Options{
 		P: 4, Seed: 44, Rounds: 5, RoundMoves: 300,
 		SlaveTimeout: 2 * time.Second,
-		Workers:      append(startStaticWorkers(t, 3), ln.Addr().String()),
+		Workers:      append(startStaticWorkers(t, 3), forger),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -420,4 +407,82 @@ func TestChaosRosterQuarantineEvicts(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("quarantined roster worker still connected")
 	}
+}
+
+// stallRound holds up every order of one round for delay: a host stall on a
+// healthy member whose connection stays up throughout.
+type stallRound struct {
+	*wire.Session
+	round int
+	delay time.Duration
+}
+
+func (s stallRound) Recv(node int) transport.Message {
+	msg := s.Session.Recv(node)
+	if start, ok := msg.Payload.(proto.Start); ok && start.Round == s.round {
+		time.Sleep(s.delay)
+	}
+	return msg
+}
+
+// TestChaosLiveMemberWaitedOn: on a wire fleet a member whose connection is
+// up is waited on for SlaveTimeout, not missed at the calibrated deadline.
+// stall: one worker's host stalls 300 ms before one round order, far past
+// the ~100 ms deadline; the run re-sends nothing, declares nobody dead and
+// equals the in-process run. hung: a worker that handshakes and then never
+// answers is still missed, once SlaveTimeout has passed, and declared dead.
+func TestChaosLiveMemberWaitedOn(t *testing.T) {
+	ins := testInstance(60, 5, 404)
+	t.Run("stall", func(t *testing.T) {
+		base := Options{P: 2, Seed: 21, Rounds: 6, RoundMoves: 10}
+		local, err := Solve(ins, CTS2, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := base
+		opts.SlaveTimeout = 3 * time.Second
+		opts.Workers = []string{
+			startStaticWorkers(t, 1)[0],
+			listenWorker(t, func(s *wire.Session, hello proto.Hello) {
+				Slave(stallRound{Session: s, round: 3, delay: 300 * time.Millisecond},
+					hello.Node, hello.Ins, hello.Seed)
+			}),
+		}
+		res, err := Solve(ins, CTS2, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Redispatches != 0 || res.Stats.DeadSlaves != 0 {
+			t.Fatalf("redispatches=%d dead=%d, want 0/0: a live member was missed",
+				res.Stats.Redispatches, res.Stats.DeadSlaves)
+		}
+		if res.Best.Value != local.Best.Value || !res.Best.X.Equal(local.Best.X) ||
+			!slices.Equal(res.Stats.BestByRound, local.Stats.BestByRound) {
+			t.Fatalf("stalled wire run found %.0f %v, in-process run %.0f %v",
+				res.Best.Value, res.Stats.BestByRound, local.Best.Value, local.Stats.BestByRound)
+		}
+	})
+	t.Run("hung", func(t *testing.T) {
+		opts := Options{P: 2, Seed: 21, Rounds: 4, RoundMoves: 10, SlaveTimeout: 300 * time.Millisecond}
+		opts.Workers = []string{
+			startStaticWorkers(t, 1)[0],
+			listenWorker(t, func(s *wire.Session, hello proto.Hello) {
+				for s.Recv(hello.Node).Tag != proto.TagStop { // take every order, answer none
+				}
+			}),
+		}
+		began := time.Now()
+		res, err := Solve(ins, CTS2, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("redispatches=%d in %s", res.Stats.Redispatches, time.Since(began))
+		if res.Stats.Rounds != opts.Rounds || res.Stats.DeadSlaves != 1 {
+			t.Fatalf("rounds=%d dead=%d, want %d rounds and the hung worker dead",
+				res.Stats.Rounds, res.Stats.DeadSlaves, opts.Rounds)
+		}
+		if !mkp.IsFeasibleAssignment(ins, res.Best.X) || mkp.ValueOf(ins, res.Best.X) != res.Best.Value {
+			t.Fatal("hung-worker run produced an inconsistent best")
+		}
+	})
 }

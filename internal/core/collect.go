@@ -13,6 +13,7 @@ import (
 	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/transport/proto"
+	"repro/internal/transport/wire"
 )
 
 // lifecycle is the narrow interface the collector reports failures through:
@@ -41,10 +42,10 @@ type collector struct {
 	rec   *reconciler // nil unless elastic: membership and gossip state; steals only happen then
 	best  *mkp.Solution
 
-	// timed is set on a wire fleet, where a death is only silence: waits end
+	// fleet is the master's wire fleet, nil in-process. On a fleet waits end
 	// at deadlines priced by perMove, the measured cost of one kernel move.
 	// In-process the farm ends a wait, and the collector reads no clock.
-	timed   bool
+	fleet   *wire.Fleet
 	perMove time.Duration
 }
 
@@ -83,14 +84,31 @@ func (c *collector) vetResult(rep proto.Result) string {
 // silent every round and crosses the threshold immediately.
 const deadAfterMisses = 3
 
+// maxRedispatch is how many times one slot's round may be re-sent after a
+// missed rendezvous before the round is abandoned for that slot: once to the
+// original slave, once to a borrowed live slave.
+const maxRedispatch = 2
+
+// quarantineStrikes is how many revalidation failures (forged or infeasible
+// results, malformed gossip) one worker may accumulate before the master
+// quarantines it: the node is marked departed, excluded from dispatch and
+// borrowing, and — on a wire fleet — its connection is torn down via the
+// leave ledger so it is never counted as a crash. Honest workers never
+// strike: the master recomputes each claimed value from the shipped bits, so
+// only a worker whose payloads lie about their own contents can accumulate
+// strikes.
+const quarantineStrikes = 3
+
 // collect runs one rendezvous (the synchronous centralized scheme, §4.2): it
 // waits for the round's dispatched results and reports whether any failure
 // occurred. A receive that returns nothing ends a wait with slots still
 // pending: on the in-process farm that happens exactly when nothing more can
-// arrive, on a wire fleet when the deadline passes. Each pending slot is then
+// arrive, on a wire fleet when the deadline passes. There, TCP loses nothing
+// on a live connection: a slot whose member is still live is missed only once
+// SlaveTimeout has passed since its order went out. Each missed slot is then
 // re-dispatched — first to its own slave (the loss may have been a dropped
 // message), then to a live slave that has already reported this round — and
-// abandoned once MaxRedispatch re-sends are spent. On an elastic fleet a
+// abandoned once maxRedispatch re-sends are spent. On an elastic fleet a
 // straggler's slot is also stolen before the deadline, lent early to a node
 // that has already reported. A node that stays silent deadAfterMisses rounds
 // in a row is declared dead, as is one that reports an error; an error also
@@ -125,7 +143,7 @@ func (c *collector) collect(round int, budgets []int64, results []*tabu.Result) 
 
 	var deadline time.Time
 	rearm := func() {
-		if c.timed {
+		if c.fleet != nil {
 			deadline = time.Now().Add(c.timeoutFor(maxBudget))
 		}
 	}
@@ -205,7 +223,7 @@ func (c *collector) collect(round int, budgets []int64, results []*tabu.Result) 
 		// In-process the wait is nominal: the farm ignores it.
 		wait := c.opts.SlaveTimeout
 		poll := wait
-		if c.timed {
+		if c.fleet != nil {
 			wait = time.Until(deadline)
 			poll = max(wait, 0)
 			// Wake at the earliest moment a pending slot becomes stealable
@@ -222,13 +240,19 @@ func (c *collector) collect(round int, budgets []int64, results []*tabu.Result) 
 			if poll < wait {
 				continue // a steal poll, not the deadline
 			}
-			// The wait is over: every still-pending slot missed the rendezvous.
-			hadFailure = true
+			// The wait is over: every still-pending slot whose member cannot
+			// still answer missed the rendezvous.
 			progressed := false
 			for s := 0; s < p; s++ {
 				if state[s] != pending {
 					continue
 				}
+				if c.fleet != nil && c.fleet.MemberState(assigned[s]) == wire.MemberLive &&
+					time.Since(c.disp.dispatchedAt[s]) < c.opts.SlaveTimeout {
+					progressed = true // slow, not lost: keep waiting
+					continue
+				}
+				hadFailure = true
 				if c.opts.Tracer != nil {
 					c.opts.Tracer.Record(trace.Event{
 						Kind: trace.KindSlaveTimeout, Actor: -1, Round: round, Value: c.best.Value,
@@ -339,7 +363,7 @@ func (c *collector) collect(round int, budgets []int64, results []*tabu.Result) 
 			// measured from the slot's own dispatch so waits on other slots
 			// don't inflate it; keep the largest observation so transient
 			// hiccups can only make later deadlines more generous.
-			if c.timed && rep.Res != nil && rep.Res.Moves > 0 && !c.disp.dispatchedAt[rep.Slot].IsZero() {
+			if c.fleet != nil && rep.Res != nil && rep.Res.Moves > 0 && !c.disp.dispatchedAt[rep.Slot].IsZero() {
 				if per := time.Since(c.disp.dispatchedAt[rep.Slot]) / time.Duration(rep.Res.Moves); per > c.perMove {
 					c.perMove = per
 				}
@@ -396,7 +420,7 @@ func (c *collector) checkIdentity(from, claimed, round int) {
 // current node, later ones to live slaves that already reported this round.
 // It reports false when the retry budget is spent or no target exists.
 func (c *collector) redispatch(slot, round int, budgets []int64, attempts, assigned []int, finished []int, borrow *int) bool {
-	for attempts[slot] < c.opts.MaxRedispatch {
+	for attempts[slot] < maxRedispatch {
 		attempts[slot]++
 		node := assigned[slot]
 		if attempts[slot] > 1 || !c.alive[node-1] {

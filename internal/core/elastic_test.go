@@ -28,27 +28,35 @@ func protoGossip(epoch uint64, best mkp.Solution) proto.Gossip {
 func startStaticWorkers(t *testing.T, p int) []string {
 	t.Helper()
 	addrs := make([]string, p)
-	for i := 0; i < p; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ln.Close() })
-		addrs[i] = ln.Addr().String()
-		go func() {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			defer conn.Close()
-			sess, hello, err := wire.Accept(conn, nil)
-			if err != nil {
-				return
-			}
-			Slave(sess, hello.Node, hello.Ins, hello.Seed)
-		}()
+	for i := range addrs {
+		addrs[i] = listenWorker(t, func(s *wire.Session, hello proto.Hello) {
+			Slave(s, hello.Node, hello.Ins, hello.Seed)
+		})
 	}
 	return addrs
+}
+
+// listenWorker accepts one roster connection and hands its session to serve.
+func listenWorker(t *testing.T, serve func(s *wire.Session, hello proto.Hello)) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		s, hello, err := wire.Accept(c, nil)
+		if err != nil {
+			return
+		}
+		serve(s, hello)
+	}()
+	return ln.Addr().String()
 }
 
 // joinElasticWorker dials the fleet and serves ElasticSlave on a goroutine,

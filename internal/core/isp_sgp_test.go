@@ -278,14 +278,41 @@ func TestDiversifyIntensifyBounds(t *testing.T) {
 	}
 }
 
+// TestPoolDiameter checks that regenerate reports the pool's Hamming
+// diameter and picks its branch from it; at n=16 a diameter of at most 1 is
+// clustered and one of at least 4 is scattered.
 func TestPoolDiameter(t *testing.T) {
-	ins := testInstance(16, 2, 8)
-	if d := poolDiameter(nil); d != 0 {
-		t.Fatalf("empty pool diameter = %d", d)
-	}
-	p := []mkp.Solution{solOf(ins, []int{0, 1}), solOf(ins, []int{0, 2}), solOf(ins, []int{5, 6, 7})}
-	if d := poolDiameter(p); d != 5 {
-		t.Fatalf("diameter = %d, want 5", d)
+	const n = 16
+	ins := testInstance(n, 2, 8)
+	st := tabu.Strategy{LtLength: 5, NbDrop: 2, NbLocal: 10}
+	for _, tc := range []struct {
+		pool [][]int
+		want int
+	}{
+		{nil, 0},
+		{[][]int{{0, 1}, {0, 1, 2}}, 1},
+		{[][]int{{0, 1}, {0, 2}}, 2},
+		{[][]int{{0, 1}, {0, 1, 2}, {4, 5, 6}}, 6},
+		{[][]int{{0, 1}, {0, 2}, {5, 6, 7}}, 5},
+	} {
+		var p []mkp.Solution
+		for _, items := range tc.pool {
+			p = append(p, solOf(ins, items))
+		}
+		got, d := regenerate(st, p, n, rng.New(1))
+		if d != tc.want {
+			t.Fatalf("diameter of %v = %d, want %d", tc.pool, d, tc.want)
+		}
+		want := tabu.RandomStrategy(n, rng.New(1))
+		switch {
+		case d <= 1:
+			want = diversifyStrategy(st, n)
+		case d >= 4:
+			want = intensifyStrategy(st)
+		}
+		if got != want {
+			t.Fatalf("pool %v (diameter %d) regenerated %+v, want %+v", tc.pool, d, got, want)
+		}
 	}
 }
 

@@ -209,7 +209,7 @@ func newMaster(ins *mkp.Instance, algo Algorithm, opts Options) (*master, error)
 
 	m := newEngine(ins, algo, opts, net, r)
 	m.fleet = fleet
-	m.coll.timed = fleet != nil
+	m.coll.fleet = fleet
 	if opts.Elastic != nil {
 		// The elastic stream is split from the root AFTER the slave-seed
 		// block, and only when elastic is armed, so arming it never shifts
@@ -569,7 +569,7 @@ func (m *master) slaveDied(node, round int, err error) {
 }
 
 // resultRejected records a worker payload that failed the master's
-// revalidation and, once Options.QuarantineStrikes of them have accumulated,
+// revalidation and, once quarantineStrikes of them have accumulated,
 // quarantines the offender. Strikes are attributed by the transport's own
 // connection identity (Message.From), never by the payload's claimed node, so
 // a forger cannot frame a peer.
@@ -586,7 +586,7 @@ func (m *master) resultRejected(node, round int, reason string) {
 		return
 	}
 	m.strikes[node]++
-	if m.strikes[node] >= m.opts.QuarantineStrikes && m.alive[node] && !m.departed[node] {
+	if m.strikes[node] >= quarantineStrikes && m.alive[node] && !m.departed[node] {
 		m.quarantine(node, round)
 	}
 }

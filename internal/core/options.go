@@ -152,9 +152,10 @@ type Options struct {
 	// when both are set. Workers is mutually exclusive with Faults and
 	// Supervise — those belong to the in-process substrate — and with Guide,
 	// whose core the wire codec does not ship. A wire rendezvous waits on
-	// deadlines (a remote death only ever manifests as silence), so wire runs
-	// are not bitwise comparable to in-process runs; on a healthy fleet a
-	// fixed seed still reaches the identical final best value.
+	// deadlines and member liveness (a remote death only ever manifests as
+	// silence or a lost connection), so wire runs are not bitwise comparable
+	// to in-process runs; on a healthy fleet a fixed seed still reaches the
+	// identical final best value.
 	Workers []string
 	// DialTimeout bounds the per-address connect retry loop when Workers is
 	// set, and then that worker's handshake (0 = the wire default, 10s each).
@@ -171,13 +172,14 @@ type Options struct {
 	// join and leave mid-run. P becomes the desired fleet size — the master
 	// admits joiners into fresh slots while live membership is below it, and
 	// never shrinks its own ambition when workers depart. Elastic runs wait
-	// on deadlines like Workers runs, with membership traffic on top:
-	// epoch-stamped global-best gossip, graceful Leave classification (a
-	// leaver is retired, never counted dead) and work stealing (the master
-	// lends a straggler's slot to a worker that has already reported this
-	// round). A never-churning elastic fleet reaches the same final best as
-	// the Workers roster run and the in-process run at the same seed.
-	// Mutually exclusive with Workers, Faults, Supervise, Guide and Resume.
+	// on deadlines and liveness like Workers runs, with membership traffic
+	// on top: epoch-stamped global-best gossip, graceful Leave
+	// classification (a leaver is retired, never counted dead) and work
+	// stealing (the master lends a straggler's slot to a worker that has
+	// already reported this round). A never-churning elastic fleet reaches
+	// the same final best as the Workers roster run and the in-process run
+	// at the same seed. Mutually exclusive with Workers, Faults, Supervise,
+	// Guide and Resume.
 	Elastic *ElasticConfig
 	// Guide, when non-nil, arms LP-guided core search: the master solves the
 	// LP relaxation once at startup, fixes variables by reduced cost against
@@ -202,15 +204,6 @@ type Options struct {
 	// runs exercise exactly the recovery paths a flaky real network would:
 	// redispatch, crash detection, rejoin.
 	Chaos *chaosnet.Plan
-	// QuarantineStrikes is how many revalidation failures (forged or
-	// infeasible results, malformed gossip) one worker may accumulate before
-	// the master quarantines it: the node is marked departed, excluded from
-	// dispatch and borrowing, and — on a wire fleet — its connection is
-	// torn down via the leave ledger so it is never counted as a crash.
-	// Default 3. Honest workers never strike: the master recomputes each
-	// claimed value from the shipped bits, so only a worker whose payloads
-	// lie about their own contents can accumulate strikes.
-	QuarantineStrikes int
 	// Faults, when non-nil, installs a deterministic fault injector in the
 	// farm substrate: seeded per-link message drop/duplication and per-node
 	// crash-after-k-sends, where CrashAt may name only slaves, nodes 1..P.
@@ -223,18 +216,15 @@ type Options struct {
 	// events; OnCheckpoint fires as soon as a failure is detected so a
 	// degraded run is resumable at the last good rendezvous.
 	Faults *inproc.FaultPlan
-	// SlaveTimeout caps how long the master waits at a rendezvous on a wire
-	// fleet (Workers or Elastic) for a missing result before re-dispatching or
-	// degrading: over TCP a dead worker is only ever silence, and silence can
-	// only be observed by time. Once a round has completed, the deadline
-	// adapts to the measured per-move cost scaled by the round's move budget,
-	// and SlaveTimeout remains the upper bound. In-process it is unused: the
-	// farm reports when nothing more can arrive. Default 5s.
+	// SlaveTimeout is how long the master waits at a rendezvous on a wire
+	// fleet (Workers or Elastic) for a live member's missing result before
+	// re-dispatching or degrading: TCP loses nothing on a live connection,
+	// but a hung worker is only ever silence. A member whose connection is
+	// gone is missed sooner, at the round's deadline: SlaveTimeout until a
+	// round has completed, then the measured per-move cost scaled by the
+	// round's move budget, capped by SlaveTimeout. In-process it is unused:
+	// the farm reports when nothing more can arrive. Default 5s.
 	SlaveTimeout time.Duration
-	// MaxRedispatch is how many times one slot's round may be re-sent after a
-	// missed rendezvous before the round is abandoned for that slot. Default
-	// 2: once to the original slave, once to a borrowed live slave.
-	MaxRedispatch int
 	// Supervise, when non-nil, arms the self-healing layer on top of the
 	// rendezvous: slaves declared dead are respawned at round boundaries
 	// after a capped exponential backoff (per-node restart budget, seeded
@@ -347,12 +337,6 @@ func (o Options) withDefaults(n int) Options {
 	if o.SlaveTimeout <= 0 {
 		o.SlaveTimeout = 5 * time.Second
 	}
-	if o.MaxRedispatch <= 0 {
-		o.MaxRedispatch = 2
-	}
-	if o.QuarantineStrikes <= 0 {
-		o.QuarantineStrikes = 3
-	}
 	if o.Supervise != nil {
 		pol := o.Supervise.WithDefaults()
 		o.Supervise = &pol
@@ -396,7 +380,7 @@ type Stats struct {
 	Joins           int       // workers admitted into the fleet mid-run (elastic only)
 	Leaves          int       // workers that departed gracefully (elastic only)
 	ResultRejects   int       // worker results (or gossip) that failed the master's revalidation
-	Quarantines     int       // workers evicted after QuarantineStrikes rejected results
+	Quarantines     int       // workers evicted after quarantineStrikes (3) rejected results
 	Steals          int       // straggler slots handed to idle thieves (elastic only)
 	SlotReallocs    int       // portfolio slot reassignments between algorithms
 	Epoch           uint64    // final fleet epoch (elastic only; bumps on membership change and best broadcast)

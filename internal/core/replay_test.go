@@ -8,7 +8,7 @@ import (
 )
 
 // The replay contract: with guidance off (a nil Options.Guide — what
-// mkpsolve runs by default and under -nofix), seeded runs reproduce the
+// mkpsolve runs without -core), seeded runs reproduce the
 // pre-guidance engine bit for bit. The values below were captured on the
 // unguided engine before the guide existed; any drift means a change leaked
 // into the unguided path.

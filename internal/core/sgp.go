@@ -3,8 +3,8 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/bitset"
 	"repro/internal/mkp"
+	"repro/internal/rng"
 	"repro/internal/tabu"
 	"repro/internal/trace"
 )
@@ -24,15 +24,6 @@ import (
 //   - anything in between draws a fresh random strategy.
 func (t *tuner) sgp(results []*tabu.Result) {
 	n := t.ins.N
-	clustered := n / 10 // Hamming diameter at or below which the pool is "close"
-	scattered := n / 4  // diameter at or above which it is "very far"
-	if clustered < 1 {
-		clustered = 1
-	}
-	if scattered <= clustered {
-		scattered = clustered + 1
-	}
-
 	for i, res := range results {
 		if res == nil {
 			continue // lost round: the slot's strategy and score are frozen
@@ -46,16 +37,7 @@ func (t *tuner) sgp(results []*tabu.Result) {
 			continue
 		}
 
-		d := poolDiameter(res.Pool)
-		st := t.strategies[i]
-		switch {
-		case d <= clustered:
-			st = diversifyStrategy(st, n)
-		case d >= scattered:
-			st = intensifyStrategy(st)
-		default:
-			st = tabu.RandomStrategy(n, t.r)
-		}
+		st, d := regenerate(t.strategies[i], res.Pool, n, t.r)
 		// SGP retunes the numeric knobs; the slot's portfolio assignment is
 		// the reallocator's to change, so a redraw never resets it.
 		st.Algo = t.strategies[i].Algo
@@ -82,18 +64,22 @@ func (t *tuner) sgp(results []*tabu.Result) {
 	}
 }
 
-// poolDiameter returns the maximum pairwise Hamming distance in a slave's
-// reported pool.
-func poolDiameter(pool []mkp.Solution) int {
-	max := 0
-	for a := 0; a < len(pool); a++ {
-		for b := a + 1; b < len(pool); b++ {
-			if d := bitset.Distance(pool[a].X, pool[b].X); d > max {
-				max = d
-			}
-		}
+// regenerate derives a discarded strategy's successor from the Hamming
+// diameter of the slave's pool, which it also returns: diversify a clustered
+// pool (diameter at most n/10), intensify a scattered one (at least n/4),
+// and otherwise draw a fresh random strategy, the only case that draws
+// from r.
+func regenerate(st tabu.Strategy, pool []mkp.Solution, n int, r *rng.Rand) (tabu.Strategy, int) {
+	clustered := max(n/10, 1)
+	scattered := max(n/4, clustered+1)
+	d := tabu.Diameter(pool)
+	switch {
+	case d <= clustered:
+		return diversifyStrategy(st, n), d
+	case d >= scattered:
+		return intensifyStrategy(st), d
 	}
-	return max
+	return tabu.RandomStrategy(n, r), d
 }
 
 // diversifyStrategy implements "increment lt_size and nb_drop and reduce the

@@ -9,141 +9,147 @@ import (
 )
 
 // WriteProm writes the registry in the Prometheus text exposition format
-// (version 0.0.4): families sorted by name, one `# HELP` (when registered)
-// and `# TYPE` line per family, series sorted within a family, histograms
-// expanded into cumulative `_bucket{le=...}` series plus `_sum` and `_count`.
-// A nil registry writes nothing.
+// (version 0.0.4): a snapshot, rendered by the same encoder as a Gatherer's
+// merged exposition. A nil registry writes nothing.
 func (r *Registry) WriteProm(w io.Writer) error {
+	help := map[string]string{}
+	r.copyHelp(help)
+	return writeProm(w, r.Snapshot(), help)
+}
+
+// copyHelp copies the registry's HELP strings into dst under the registry
+// lock. A family dst already describes keeps its text: the first
+// registration wins.
+func (r *Registry) copyHelp(dst map[string]string) {
 	if r == nil {
-		return nil
+		return
 	}
 	r.mu.Lock()
-	type promFamily struct {
-		name     string
-		kind     string // "counter", "gauge", "histogram"
-		counters []*counterSeries
-		gauges   []*gaugeSeries
-		hists    []*histSeries
-	}
-	fams := map[string]*promFamily{}
-	fam := func(name, kind string) *promFamily {
-		f, ok := fams[name]
-		if !ok {
-			f = &promFamily{name: name, kind: kind}
-			fams[name] = f
+	defer r.mu.Unlock()
+	for name, h := range r.help {
+		if _, ok := dst[name]; !ok {
+			dst[name] = h
 		}
-		return f
 	}
-	for _, cs := range r.counters {
-		f := fam(cs.name, "counter")
-		f.counters = append(f.counters, cs)
-	}
-	for _, gs := range r.gauges {
-		f := fam(gs.name, "gauge")
-		f.gauges = append(f.gauges, gs)
-	}
-	for _, hs := range r.hists {
-		f := fam(hs.name, "histogram")
-		f.hists = append(f.hists, hs)
-	}
-	help := make(map[string]string, len(r.help))
-	for k, v := range r.help {
-		help[k] = v
-	}
-	r.mu.Unlock()
+}
 
-	names := make([]string, 0, len(fams))
-	for name := range fams {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+// Series kinds, in the order a family's series are written.
+const (
+	kindCounter = iota
+	kindGauge
+	kindHistogram
+)
 
-	for _, name := range names {
-		f := fams[name]
-		if h, ok := help[name]; ok {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", name, escapeHelp(h)); err != nil {
+var promTypes = [...]string{"counter", "gauge", "histogram"}
+
+// promSeries is one snapshot series placed in the exposition order.
+type promSeries struct {
+	family, key string
+	kind        int
+}
+
+// writeProm renders a snapshot as the text exposition: families sorted by
+// name, one `# HELP` (when help has one) and `# TYPE` line per family, then
+// its counters, gauges and histograms, each sorted by key. A key's kind is
+// the snapshot map it sits in; a family that has series of several kinds is
+// typed by the first of them. Histograms expand into cumulative
+// `_bucket{le=...}` series plus `_sum` and `_count`.
+func writeProm(w io.Writer, s *Snapshot, help map[string]string) error {
+	all := make([]promSeries, 0, len(s.Counters)+len(s.Gauges)+len(s.Histograms))
+	for k := range s.Counters {
+		all = append(all, promSeries{Family(k), k, kindCounter})
+	}
+	for k := range s.Gauges {
+		all = append(all, promSeries{Family(k), k, kindGauge})
+	}
+	for k := range s.Histograms {
+		all = append(all, promSeries{Family(k), k, kindHistogram})
+	}
+	sort.Slice(all, func(a, b int) bool {
+		x, y := all[a], all[b]
+		if x.family != y.family {
+			return x.family < y.family
+		}
+		if x.kind != y.kind {
+			return x.kind < y.kind
+		}
+		return x.key < y.key
+	})
+	for i, ps := range all {
+		if i == 0 || ps.family != all[i-1].family {
+			if h, ok := help[ps.family]; ok {
+				if _, err := fmt.Fprintf(w, "# HELP %s %s\n", ps.family, escapeHelp(h)); err != nil {
+					return err
+				}
+			}
+			if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", ps.family, promTypes[ps.kind]); err != nil {
 				return err
 			}
 		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", name, f.kind); err != nil {
+		var err error
+		switch ps.kind {
+		case kindCounter:
+			_, err = fmt.Fprintf(w, "%s %d\n", ps.key, s.Counters[ps.key])
+		case kindGauge:
+			_, err = fmt.Fprintf(w, "%s %s\n", ps.key, formatFloat(s.Gauges[ps.key]))
+		default:
+			err = writePromHistSnapshot(w, ps.key, s.Histograms[ps.key])
+		}
+		if err != nil {
 			return err
-		}
-		sort.Slice(f.counters, func(a, b int) bool { return f.counters[a].key < f.counters[b].key })
-		sort.Slice(f.gauges, func(a, b int) bool { return f.gauges[a].key < f.gauges[b].key })
-		sort.Slice(f.hists, func(a, b int) bool { return f.hists[a].key < f.hists[b].key })
-		for _, cs := range f.counters {
-			if _, err := fmt.Fprintf(w, "%s %d\n", cs.key, cs.c.Value()); err != nil {
-				return err
-			}
-		}
-		for _, gs := range f.gauges {
-			if _, err := fmt.Fprintf(w, "%s %s\n", gs.key, formatFloat(gs.g.Value())); err != nil {
-				return err
-			}
-		}
-		for _, hs := range f.hists {
-			if err := writePromHistogram(w, hs); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
 }
 
-// writePromHistogram expands one histogram series into its exposition lines.
-func writePromHistogram(w io.Writer, hs *histSeries) error {
-	h := hs.h
+// writePromHistSnapshot expands one snapshotted histogram series. The key is
+// already canonical (`name` or `name{...}`); the suffix and `le` label are
+// spliced in around it.
+func writePromHistSnapshot(w io.Writer, key string, h HistogramSnapshot) error {
+	name, labels := splitKey(key)
 	var cum int64
-	for i, bound := range h.bounds {
-		cum += h.counts[i].Load()
-		if _, err := fmt.Fprintf(w, "%s %d\n",
-			seriesWithLabel(hs.series, "le", formatFloat(bound), "_bucket"), cum); err != nil {
+	for i, bound := range h.Buckets {
+		cum += h.Counts[i]
+		if _, err := fmt.Fprintf(w, "%s %d\n", keyWith(name, labels, "le", formatFloat(bound), "_bucket"), cum); err != nil {
 			return err
 		}
 	}
-	cum += h.counts[len(h.bounds)].Load()
-	if _, err := fmt.Fprintf(w, "%s %d\n",
-		seriesWithLabel(hs.series, "le", "+Inf", "_bucket"), cum); err != nil {
+	if len(h.Counts) > len(h.Buckets) {
+		cum += h.Counts[len(h.Buckets)]
+	}
+	if _, err := fmt.Fprintf(w, "%s %d\n", keyWith(name, labels, "le", "+Inf", "_bucket"), cum); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "%s %s\n",
-		seriesSuffixed(hs.series, "_sum"), formatFloat(h.Sum())); err != nil {
+	if _, err := fmt.Fprintf(w, "%s %s\n", keySuffixed(name, labels, "_sum"), formatFloat(h.Sum)); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w, "%s %d\n", seriesSuffixed(hs.series, "_count"), h.Count())
+	_, err := fmt.Fprintf(w, "%s %d\n", keySuffixed(name, labels, "_count"), h.Count)
 	return err
 }
 
-// seriesWithLabel renders name+suffix{existing labels, extraK="extraV"}.
-func seriesWithLabel(s series, extraK, extraV, suffix string) string {
-	var sb strings.Builder
-	sb.WriteString(s.name)
-	sb.WriteString(suffix)
-	sb.WriteByte('{')
-	for i := 0; i < len(s.labels); i += 2 {
-		fmt.Fprintf(&sb, "%s=%q,", s.labels[i], s.labels[i+1])
+// splitKey splits a canonical series key into name and the raw `k="v",...`
+// label body ("" when unlabeled).
+func splitKey(key string) (name, labels string) {
+	for i := 0; i < len(key); i++ {
+		if key[i] == '{' {
+			return key[:i], key[i+1 : len(key)-1]
+		}
 	}
-	fmt.Fprintf(&sb, "%s=%q}", extraK, extraV)
-	return sb.String()
+	return key, ""
 }
 
-// seriesSuffixed renders name+suffix with the series' own labels.
-func seriesSuffixed(s series, suffix string) string {
-	if len(s.labels) == 0 {
-		return s.name + suffix
+func keyWith(name, labels, extraK, extraV, suffix string) string {
+	if labels == "" {
+		return fmt.Sprintf("%s%s{%s=%q}", name, suffix, extraK, extraV)
 	}
-	var sb strings.Builder
-	sb.WriteString(s.name)
-	sb.WriteString(suffix)
-	sb.WriteByte('{')
-	for i := 0; i < len(s.labels); i += 2 {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		fmt.Fprintf(&sb, "%s=%q", s.labels[i], s.labels[i+1])
+	return fmt.Sprintf("%s%s{%s,%s=%q}", name, suffix, labels, extraK, extraV)
+}
+
+func keySuffixed(name, labels, suffix string) string {
+	if labels == "" {
+		return name + suffix
 	}
-	sb.WriteByte('}')
-	return sb.String()
+	return fmt.Sprintf("%s%s{%s}", name, suffix, labels)
 }
 
 // formatFloat renders a float the way Prometheus clients expect: shortest

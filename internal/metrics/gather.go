@@ -3,7 +3,6 @@ package metrics
 import (
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 )
 
@@ -16,11 +15,10 @@ import (
 // under a `job` (or `run`) label; the merged exposition keeps every series
 // distinct while still serving one `/metrics` page.
 //
-// Attach/Detach are cheap and safe for concurrent use with WriteProm and
-// Snapshot; a detached registry simply disappears from subsequent
-// expositions (the server detaches a job's registry when the job is
-// garbage-collected, not when it finishes, so a finished job's last numbers
-// stay scrapeable).
+// Attach is cheap and safe for concurrent use with WriteProm and Snapshot.
+// Nothing is ever detached: an attached registry stays in every later
+// exposition, so a finished job's last numbers stay scrapeable for as long
+// as the gatherer lives.
 type Gatherer struct {
 	mu    sync.Mutex
 	parts []gatherPart
@@ -55,45 +53,34 @@ func (g *Gatherer) Attach(reg *Registry, labels ...string) {
 	g.parts = append(g.parts, gatherPart{reg: reg, labels: append([]string(nil), labels...)})
 }
 
-// Detach removes a previously attached registry.
-func (g *Gatherer) Detach(reg *Registry) {
-	if g == nil {
-		return
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for i, p := range g.parts {
-		if p.reg == reg {
-			g.parts = append(g.parts[:i], g.parts[i+1:]...)
-			return
-		}
-	}
-}
-
-// snapshot of the attached parts, taken under the gatherer lock.
-func (g *Gatherer) snapshotParts() []gatherPart {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return append([]gatherPart(nil), g.parts...)
-}
-
 // Snapshot merges every attached registry's labeled snapshot. Series keys
 // are canonical (`name{k="v",...}` with the injected labels folded in and
 // sorted), so two attached runs with distinct labels can never collide. If
-// two parts do produce the same key (same registry attached twice under one
-// label set, or colliding label choices), counters and histogram counts sum
-// and gauges keep the last value written — the same semantics Prometheus
-// applies to duplicate samples.
-func (g *Gatherer) Snapshot() *Snapshot {
-	out := &Snapshot{
-		Counters:   map[string]int64{},
-		Gauges:     map[string]float64{},
-		Histograms: map[string]HistogramSnapshot{},
-	}
+// two parts do produce the same key (colliding label choices), counters and
+// histogram counts sum and gauges keep the last value written — the same
+// semantics Prometheus applies to duplicate samples.
+func (g *Gatherer) Snapshot() *Snapshot { return g.merge(nil) }
+
+// WriteProm writes the merged snapshot through the registry's encoder, so
+// each family's TYPE line appears exactly once with all its series beneath
+// it, as the text format requires. HELP comes from the first attached
+// registry that registered one. A nil gatherer writes nothing.
+func (g *Gatherer) WriteProm(w io.Writer) error {
+	help := map[string]string{}
+	return writeProm(w, g.merge(help), help)
+}
+
+// merge builds Snapshot's merged snapshot and, when help is non-nil, copies
+// each part's HELP strings into it.
+func (g *Gatherer) merge(help map[string]string) *Snapshot {
+	out := newSnapshot()
 	if g == nil {
 		return out
 	}
-	for _, p := range g.snapshotParts() {
+	g.mu.Lock()
+	parts := append([]gatherPart(nil), g.parts...)
+	g.mu.Unlock()
+	for _, p := range parts {
 		s := p.reg.LabeledSnapshot(p.labels...)
 		for k, v := range s.Counters {
 			out.Counters[k] += v
@@ -111,217 +98,9 @@ func (g *Gatherer) Snapshot() *Snapshot {
 			}
 			out.Histograms[k] = h
 		}
+		if help != nil {
+			p.reg.copyHelp(help)
+		}
 	}
 	return out
-}
-
-// LabeledSnapshot is Snapshot with extra label pairs injected into every
-// series key. Injected keys that a series already carries are dropped for
-// that series (its own label wins), so a run that already labels by slave
-// cannot be silently relabeled.
-func (r *Registry) LabeledSnapshot(labels ...string) *Snapshot {
-	if len(labels) == 0 {
-		return r.Snapshot()
-	}
-	if len(labels)%2 != 0 {
-		panic(fmt.Sprintf("metrics: odd label list for labeled snapshot: %v", labels))
-	}
-	s := &Snapshot{
-		Counters:   map[string]int64{},
-		Gauges:     map[string]float64{},
-		Histograms: map[string]HistogramSnapshot{},
-	}
-	if r == nil {
-		return s
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, cs := range r.counters {
-		s.Counters[relabel(cs.series, labels)] = cs.c.Value()
-	}
-	for _, gs := range r.gauges {
-		s.Gauges[relabel(gs.series, labels)] = gs.g.Value()
-	}
-	for _, hs := range r.hists {
-		h := hs.h
-		counts := make([]int64, len(h.counts))
-		for i := range h.counts {
-			counts[i] = h.counts[i].Load()
-		}
-		s.Histograms[relabel(hs.series, labels)] = HistogramSnapshot{
-			Buckets: append([]float64(nil), h.bounds...),
-			Counts:  counts,
-			Sum:     h.Sum(),
-			Count:   h.Count(),
-		}
-	}
-	return s
-}
-
-// relabel recanonicalizes a series key with extra labels folded in. The
-// series' own labels win on key collision.
-func relabel(s series, extra []string) string {
-	merged := append([]string(nil), s.labels...)
-	for i := 0; i+1 < len(extra); i += 2 {
-		if !hasLabelKey(s.labels, extra[i]) {
-			merged = append(merged, extra[i], extra[i+1])
-		}
-	}
-	return makeSeries(s.name, merged).key
-}
-
-func hasLabelKey(labels []string, key string) bool {
-	for i := 0; i < len(labels); i += 2 {
-		if labels[i] == key {
-			return true
-		}
-	}
-	return false
-}
-
-// WriteProm writes the merged exposition: families collected across every
-// attached registry (so each family's TYPE line appears exactly once with
-// all its series beneath it, as the text format requires), HELP taken from
-// the first registry that registered one. A nil gatherer writes nothing.
-func (g *Gatherer) WriteProm(w io.Writer) error {
-	if g == nil {
-		return nil
-	}
-	type famData struct {
-		kind     string
-		counters map[string]int64
-		gauges   map[string]float64
-		hists    map[string]HistogramSnapshot
-	}
-	fams := map[string]*famData{}
-	help := map[string]string{}
-	fam := func(name, kind string) *famData {
-		f, ok := fams[name]
-		if !ok {
-			f = &famData{
-				kind:     kind,
-				counters: map[string]int64{},
-				gauges:   map[string]float64{},
-				hists:    map[string]HistogramSnapshot{},
-			}
-			fams[name] = f
-		}
-		return f
-	}
-	for _, p := range g.snapshotParts() {
-		s := p.reg.LabeledSnapshot(p.labels...)
-		for k, v := range s.Counters {
-			fam(Family(k), "counter").counters[k] += v
-		}
-		for k, v := range s.Gauges {
-			fam(Family(k), "gauge").gauges[k] = v
-		}
-		for k, h := range s.Histograms {
-			fam(Family(k), "histogram").hists[k] = h
-		}
-		p.reg.mu.Lock()
-		for name, h := range p.reg.help {
-			if _, ok := help[name]; !ok {
-				help[name] = h
-			}
-		}
-		p.reg.mu.Unlock()
-	}
-
-	names := make([]string, 0, len(fams))
-	for name := range fams {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		f := fams[name]
-		if h, ok := help[name]; ok {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", name, escapeHelp(h)); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", name, f.kind); err != nil {
-			return err
-		}
-		for _, k := range sortedKeys(f.counters) {
-			if _, err := fmt.Fprintf(w, "%s %d\n", k, f.counters[k]); err != nil {
-				return err
-			}
-		}
-		for _, k := range sortedKeys(f.gauges) {
-			if _, err := fmt.Fprintf(w, "%s %s\n", k, formatFloat(f.gauges[k])); err != nil {
-				return err
-			}
-		}
-		histKeys := make([]string, 0, len(f.hists))
-		for k := range f.hists {
-			histKeys = append(histKeys, k)
-		}
-		sort.Strings(histKeys)
-		for _, k := range histKeys {
-			if err := writePromHistSnapshot(w, k, f.hists[k]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// writePromHistSnapshot expands one snapshotted histogram series. The key is
-// already canonical (`name` or `name{...}`); the suffix and `le` label are
-// spliced in around it.
-func writePromHistSnapshot(w io.Writer, key string, h HistogramSnapshot) error {
-	name, labels := splitKey(key)
-	var cum int64
-	for i, bound := range h.Buckets {
-		cum += h.Counts[i]
-		if _, err := fmt.Fprintf(w, "%s %d\n", keyWith(name, labels, "le", formatFloat(bound), "_bucket"), cum); err != nil {
-			return err
-		}
-	}
-	if len(h.Counts) > len(h.Buckets) {
-		cum += h.Counts[len(h.Buckets)]
-	}
-	if _, err := fmt.Fprintf(w, "%s %d\n", keyWith(name, labels, "le", "+Inf", "_bucket"), cum); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s %s\n", keySuffixed(name, labels, "_sum"), formatFloat(h.Sum)); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s %d\n", keySuffixed(name, labels, "_count"), h.Count)
-	return err
-}
-
-// splitKey splits a canonical series key into name and the raw `k="v",...`
-// label body ("" when unlabeled).
-func splitKey(key string) (name, labels string) {
-	for i := 0; i < len(key); i++ {
-		if key[i] == '{' {
-			return key[:i], key[i+1 : len(key)-1]
-		}
-	}
-	return key, ""
-}
-
-func keyWith(name, labels, extraK, extraV, suffix string) string {
-	if labels == "" {
-		return fmt.Sprintf("%s%s{%s=%q}", name, suffix, extraK, extraV)
-	}
-	return fmt.Sprintf("%s%s{%s,%s=%q}", name, suffix, labels, extraK, extraV)
-}
-
-func keySuffixed(name, labels, suffix string) string {
-	if labels == "" {
-		return name + suffix
-	}
-	return fmt.Sprintf("%s%s{%s}", name, suffix, labels)
 }

@@ -58,15 +58,6 @@ func TestGathererKeepsConcurrentRunsDistinct(t *testing.T) {
 	if v := s.Gauges[`core_best_value{job="b"}`]; v != 2000 {
 		t.Fatalf("run b gauge = %v, want 2000", v)
 	}
-	// Detach drops a run from the next snapshot without touching the other.
-	g.Detach(run1)
-	s = g.Snapshot()
-	if _, ok := s.Counters[`tabu_moves_total{job="a",slave="0"}`]; ok {
-		t.Fatal("detached registry still exposed")
-	}
-	if v := s.Counters[`tabu_moves_total{job="b",slave="0"}`]; v != 42 {
-		t.Fatalf("detach disturbed the surviving run: %d", v)
-	}
 }
 
 func TestGathererWriteProm(t *testing.T) {
@@ -104,5 +95,36 @@ func TestGathererWriteProm(t *testing.T) {
 	// One TYPE line per family even though two registries carry it.
 	if n := strings.Count(out, "# TYPE core_rounds_total counter"); n != 1 {
 		t.Fatalf("family TYPE line appears %d times", n)
+	}
+}
+
+// TestGathererWritePromSumsCollidedHistograms: two parts attached under one
+// label set, each with one observation in the same histogram. The exposition
+// sums them, as the merged snapshot does, instead of keeping the last part.
+func TestGathererWritePromSumsCollidedHistograms(t *testing.T) {
+	run1, run2 := NewRegistry(), NewRegistry()
+	run1.Histogram("h_seconds", []float64{1}).Observe(0.5)
+	run2.Histogram("h_seconds", []float64{1}).Observe(2)
+
+	g := NewGatherer()
+	g.Attach(run1, "job", "x")
+	g.Attach(run2, "job", "x")
+	if n := g.Snapshot().Histograms[`h_seconds{job="x"}`].Count; n != 2 {
+		t.Fatalf("merged snapshot count = %d, want 2", n)
+	}
+	var sb strings.Builder
+	if err := g.WriteProm(&sb); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	for _, want := range []string{
+		`h_seconds_bucket{job="x",le="1"} 1`,
+		`h_seconds_bucket{job="x",le="+Inf"} 2`,
+		`h_seconds_sum{job="x"} 2.5`,
+		`h_seconds_count{job="x"} 2`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("exposition missing %q:\n%s", want, out)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 )
@@ -24,32 +25,46 @@ type Snapshot struct {
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
 }
 
-// Snapshot copies the current value of every series. A nil registry yields an
-// empty (but non-nil-mapped) snapshot.
-func (r *Registry) Snapshot() *Snapshot {
-	s := &Snapshot{
+// newSnapshot returns an empty snapshot with non-nil maps.
+func newSnapshot() *Snapshot {
+	return &Snapshot{
 		Counters:   map[string]int64{},
 		Gauges:     map[string]float64{},
 		Histograms: map[string]HistogramSnapshot{},
 	}
+}
+
+// Snapshot copies the current value of every series. A nil registry yields an
+// empty (but non-nil-mapped) snapshot.
+func (r *Registry) Snapshot() *Snapshot { return r.LabeledSnapshot() }
+
+// LabeledSnapshot is Snapshot with extra label pairs injected into every
+// series key. Injected keys that a series already carries are dropped for
+// that series (its own label wins), so a run that already labels by slave
+// cannot be silently relabeled.
+func (r *Registry) LabeledSnapshot(labels ...string) *Snapshot {
+	if len(labels)%2 != 0 {
+		panic(fmt.Sprintf("metrics: odd label list for labeled snapshot: %v", labels))
+	}
+	s := newSnapshot()
 	if r == nil {
 		return s
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for k, cs := range r.counters {
-		s.Counters[k] = cs.c.Value()
+	for _, cs := range r.counters {
+		s.Counters[relabel(cs.series, labels)] = cs.c.Value()
 	}
-	for k, gs := range r.gauges {
-		s.Gauges[k] = gs.g.Value()
+	for _, gs := range r.gauges {
+		s.Gauges[relabel(gs.series, labels)] = gs.g.Value()
 	}
-	for k, hs := range r.hists {
+	for _, hs := range r.hists {
 		h := hs.h
 		counts := make([]int64, len(h.counts))
 		for i := range h.counts {
 			counts[i] = h.counts[i].Load()
 		}
-		s.Histograms[k] = HistogramSnapshot{
+		s.Histograms[relabel(hs.series, labels)] = HistogramSnapshot{
 			Buckets: append([]float64(nil), h.bounds...),
 			Counts:  counts,
 			Sum:     h.Sum(),
@@ -57,6 +72,31 @@ func (r *Registry) Snapshot() *Snapshot {
 		}
 	}
 	return s
+}
+
+// relabel recanonicalizes a series key with extra labels folded in. The
+// series' own labels win on key collision; with no extra labels the stored
+// key is returned as is.
+func relabel(s series, extra []string) string {
+	if len(extra) == 0 {
+		return s.key
+	}
+	merged := append([]string(nil), s.labels...)
+	for i := 0; i+1 < len(extra); i += 2 {
+		if !hasLabelKey(s.labels, extra[i]) {
+			merged = append(merged, extra[i], extra[i+1])
+		}
+	}
+	return makeSeries(s.name, merged).key
+}
+
+func hasLabelKey(labels []string, key string) bool {
+	for i := 0; i < len(labels); i += 2 {
+		if labels[i] == key {
+			return true
+		}
+	}
+	return false
 }
 
 // Counter returns the snapshotted value of a series key (0 when absent).
@@ -93,11 +133,7 @@ func (s *Snapshot) SumHistogramCounts(family string) int64 {
 // are subtracted, gauges keep s's (current) value. Series absent from base
 // are taken as zero there.
 func (s *Snapshot) Diff(base *Snapshot) *Snapshot {
-	d := &Snapshot{
-		Counters:   map[string]int64{},
-		Gauges:     map[string]float64{},
-		Histograms: map[string]HistogramSnapshot{},
-	}
+	d := newSnapshot()
 	for k, v := range s.Counters {
 		d.Counters[k] = v - base.Counters[k]
 	}
@@ -134,11 +170,7 @@ func (*Snapshot) histBase(base *Snapshot, key string) (HistogramSnapshot, bool) 
 
 // Filter returns the snapshot restricted to families keep() accepts.
 func (s *Snapshot) Filter(keep func(family string) bool) *Snapshot {
-	out := &Snapshot{
-		Counters:   map[string]int64{},
-		Gauges:     map[string]float64{},
-		Histograms: map[string]HistogramSnapshot{},
-	}
+	out := newSnapshot()
 	for k, v := range s.Counters {
 		if keep(Family(k)) {
 			out.Counters[k] = v

@@ -1,9 +1,10 @@
-// Package obs serves a solver run's observability surface over HTTP: the
-// metrics registry in Prometheus text and JSON form, the stdlib pprof
-// profiler, and expvar. It is what `mkpsolve -listen :6060` mounts, and what
-// `go tool pprof` and `curl /metrics` talk to against a live run.
+// Package obs serves a solver run's observability surface over HTTP: a
+// metrics Source (one registry, or the job server's gatherer) in Prometheus
+// text and JSON form, the stdlib pprof profiler, and expvar. It is what
+// `mkpsolve -listen :6060` mounts, and what `go tool pprof` and
+// `curl /metrics` talk to against a live run.
 //
-// The server owns nothing but the listener: it reads the registry on each
+// The server owns nothing but the listener: it reads the source on each
 // request (snapshots are lock-free for writers), starts one goroutine, and
 // Close shuts it down without leaking — the goroutine-leak test pins that
 // down, because a solver embedded in a long-lived service must be able to
@@ -40,14 +41,9 @@ type Server struct {
 }
 
 // Serve starts the endpoint on addr (e.g. ":6060" or "127.0.0.1:0"). The
-// registry may be nil, in which case /metrics serves an empty exposition —
+// source may be nil, in which case /metrics serves an empty exposition —
 // pprof and expvar still work. Call Close to shut down.
-func Serve(addr string, reg *metrics.Registry) (*Server, error) {
-	return ServeSource(addr, reg)
-}
-
-// ServeSource is Serve for any exposition Source (e.g. a metrics.Gatherer).
-func ServeSource(addr string, src Source) (*Server, error) {
+func Serve(addr string, src Source) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
@@ -57,7 +53,7 @@ func ServeSource(addr string, src Source) (*Server, error) {
 		done: make(chan struct{}),
 	}
 	s.srv = &http.Server{
-		Handler:           HandlerSource(src),
+		Handler:           Handler(src),
 		ReadHeaderTimeout: 5 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
@@ -70,15 +66,14 @@ func ServeSource(addr string, src Source) (*Server, error) {
 	return s, nil
 }
 
-// Handler returns the observability mux: /metrics (Prometheus text),
-// /metrics.json (snapshot), /debug/pprof/* and /debug/vars (expvar).
-// Exposed separately so a host service can mount it under its own server.
-func Handler(reg *metrics.Registry) http.Handler {
-	return HandlerSource(reg)
-}
-
-// HandlerSource is Handler over any exposition Source.
-func HandlerSource(src Source) http.Handler {
+// Handler returns the observability mux over src: /metrics (Prometheus
+// text), /metrics.json (snapshot), /debug/pprof/* and /debug/vars (expvar).
+// A nil src serves an empty exposition. Exposed separately so a host service
+// can mount it under its own server.
+func Handler(src Source) http.Handler {
+	if src == nil {
+		src = (*metrics.Registry)(nil)
+	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

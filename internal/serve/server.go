@@ -526,7 +526,7 @@ func (s *Server) Close() error {
 //	GET    /metrics.json      merged snapshot
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	obsMux := obs.HandlerSource(s.gather)
+	obsMux := obs.Handler(s.gather)
 	mux.Handle("/metrics", obsMux)
 	mux.Handle("/metrics.json", obsMux)
 	mux.Handle("/debug/", obsMux)

@@ -85,14 +85,15 @@ func (p *Pool) Reset() {
 	p.sols = p.sols[:0]
 }
 
-// Diameter returns the maximum pairwise Hamming distance among the stored
-// solutions (0 for fewer than two). This is the dispersion measure SGP uses:
-// a small diameter means the slave kept finding near-identical solutions.
-func (p *Pool) Diameter() int {
+// Diameter returns the maximum pairwise Hamming distance among sols (0 for
+// fewer than two). This is the dispersion measure SGP reads from a slave's
+// reported pool: a small diameter means the slave kept finding
+// near-identical solutions.
+func Diameter(sols []mkp.Solution) int {
 	max := 0
-	for a := 0; a < len(p.sols); a++ {
-		for b := a + 1; b < len(p.sols); b++ {
-			if d := bitset.Distance(p.sols[a].X, p.sols[b].X); d > max {
+	for a := 0; a < len(sols); a++ {
+		for b := a + 1; b < len(sols); b++ {
+			if d := bitset.Distance(sols[a].X, sols[b].X); d > max {
 				max = d
 			}
 		}

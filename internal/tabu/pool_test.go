@@ -85,9 +85,6 @@ func TestPoolEmptyBest(t *testing.T) {
 	if _, ok := p.Best(); ok {
 		t.Fatal("empty pool returned a best")
 	}
-	if p.Diameter() != 0 {
-		t.Fatal("empty pool has nonzero diameter")
-	}
 }
 
 func TestPoolReset(t *testing.T) {
@@ -106,11 +103,15 @@ func TestPoolDiameter(t *testing.T) {
 	p := NewPool(3)
 	p.Offer(sol(8, []int{0, 1}, 10))
 	p.Offer(sol(8, []int{0, 1, 2}, 9)) // distance 1 from first
-	if d := p.Diameter(); d != 1 {
+	two := p.Solutions()               // empties the pool
+	if d := Diameter(two); d != 1 {
 		t.Fatalf("Diameter = %d, want 1", d)
 	}
+	for _, s := range two {
+		p.Offer(s)
+	}
 	p.Offer(sol(8, []int{4, 5, 6}, 8)) // distance 5 and 6
-	if d := p.Diameter(); d != 6 {
+	if d := Diameter(p.Solutions()); d != 6 {
 		t.Fatalf("Diameter = %d, want 6", d)
 	}
 }
