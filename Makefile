@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build fmt vet test race check loc bench kernel solverbench bench-guard perfbench-test ab chaos chaos-wire chaos-smoke metrics metrics-smoke crash-resume transport worker-smoke serve-smoke elastic elastic-smoke portfolio-smoke
+.PHONY: build fmt vet test race check tables loc bench kernel solverbench bench-guard perfbench-test ab chaos chaos-wire chaos-smoke metrics metrics-smoke crash-resume transport worker-smoke serve-smoke elastic elastic-smoke portfolio-smoke
 
 build:
 	$(GO) build ./...
@@ -21,8 +21,15 @@ race:
 	$(GO) test -race ./...
 
 # check is the CI gate: check formatting, compile everything, vet, race-test,
-# then a short kernel benchmark smoke so evaluator regressions fail loudly.
-check: fmt build vet race bench
+# then a short kernel benchmark smoke so evaluator regressions fail loudly,
+# then the pinned tables.
+check: fmt build vet race bench tables
+
+# tables re-runs every table and ablation at quick budget (~15 s) and checks
+# the export against the committed results_quick.json: every deterministic
+# cell must match exactly; host wall-clock cells are printed, never gated.
+tables:
+	$(GO) run ./cmd/mkpbench -all -quick -seed 42 -check results_quick.json
 
 # loc prints the root module's non-test Go line count per package directory,
 # then in total — the size measure design changes are judged by. perfbench/

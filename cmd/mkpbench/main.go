@@ -49,8 +49,7 @@ func main() {
 		verbose  = flag.Bool("v", false, "per-problem progress on stderr")
 		format   = flag.String("format", "text", "output format: text, csv, json")
 		compare  = flag.String("compare", "", "run the four-algorithm comparison on an instance file (single or OR-Library multi-problem)")
-		check    = flag.String("check", "", "compare the experiment against a JSON baseline (written with -format json) and exit 1 on regressions")
-		tol      = flag.Float64("tolerance", 0.02, "relative tolerance for -check numeric cells")
+		check    = flag.String("check", "", "compare each experiment against its export in a JSON baseline (written with -format json, -all included); print every difference and exit 1 if any cell other than a host wall-clock cell differs")
 
 		kernelOut  = flag.String("kernelbench", "", "run the kernel microbenchmark suite (optimized vs naive evaluator) and write the JSON report to this path (\"-\" for stdout only)")
 		solverOut  = flag.String("solverbench", "", "run the end-to-end solver benchmark (SEQ/ITS/CTS1/CTS2 time-to-target trajectories, guided vs unguided CTS2) and write the JSON report to this path (\"-\" for stdout only)")
@@ -96,7 +95,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mkpbench: unknown format %q\n", *format)
 		os.Exit(2)
 	}
-	r := runner{seed: *seed, p: *p, quick: *quick, progress: progress, format: *format, check: *check, tolerance: *tol}
+	r := runner{seed: *seed, p: *p, quick: *quick, progress: progress, format: *format, check: *check}
+	if r.check != "" {
+		f, err := os.Open(r.check)
+		exitOn(err)
+		r.baseline, err = bench.LoadExports(f)
+		f.Close()
+		exitOn(err)
+		r.regressed = new(bool)
+	}
 
 	ran := false
 	if *abParent != "" {
@@ -183,34 +190,39 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if r.check != "" && *r.regressed {
+		runAtExit()
+		os.Exit(1)
+	}
 }
 
 type runner struct {
-	seed      uint64
-	p         int
-	quick     bool
-	progress  io.Writer
-	format    string
-	check     string
-	tolerance float64
+	seed     uint64
+	p        int
+	quick    bool
+	progress io.Writer
+	format   string
+
+	check     string                  // -check: the baseline's path
+	baseline  map[string]bench.Export // -check: its exports by name
+	regressed *bool                   // -check: a gated cell has differed
 }
 
 // emit prints the experiment in the selected format: the human table for
 // text, or the machine-readable export for csv/json. With -check it instead
-// diffs the export against the stored baseline and exits 1 on regressions.
+// diffs the export against its baseline export and records a regression;
+// main exits 1 once every experiment has been checked.
 func (r runner) emit(text string, export bench.Export) {
 	if r.check != "" {
-		f, err := os.Open(r.check)
+		baseline, ok := r.baseline[export.Name]
+		if !ok {
+			exitOn(fmt.Errorf("%s holds no %q export", r.check, export.Name))
+		}
+		diffs, err := bench.CompareExports(baseline, export)
 		exitOn(err)
-		baseline, err := bench.LoadExport(f)
-		f.Close()
-		exitOn(err)
-		diffs, err := bench.CompareExports(baseline, export, r.tolerance)
-		exitOn(err)
-		fmt.Print(bench.RenderDiffs(diffs))
-		if len(diffs) > 0 {
-			runAtExit()
-			os.Exit(1)
+		fmt.Print(bench.RenderDiffs(export.Name, diffs))
+		for _, d := range diffs {
+			*r.regressed = *r.regressed || !d.Host
 		}
 		return
 	}

@@ -12,15 +12,16 @@ import (
 type AsyncRow struct {
 	Scheme   string
 	Value    stats.Summary
-	Messages stats.Summary // farm messages per run
+	Messages stats.Summary // messages per run
 }
 
 // AblationAsync evaluates the paper's announced future work (§6): replacing
 // the centralized synchronous master–slave scheme with a decentralized
 // asynchronous one. All three schemes get the same per-thread move budget on
 // MK1: the synchronous CTS2, the asynchronous full-broadcast peers, and the
-// asynchronous ring (experiment J). Async runs are not seed-reproducible
-// (arrival timing matters), hence the multi-seed summaries.
+// asynchronous ring (experiment J). Every row replays from cfg.Seed: the
+// asynchronous peers run in lockstep simulated time (core.SolveAsync). The
+// summaries are over cfg.Seeds seeds.
 func AblationAsync(cfg AblationConfig) ([]AsyncRow, error) {
 	cfg = cfg.withDefaults()
 	ins := ablationInstance(cfg.Seed)

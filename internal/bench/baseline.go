@@ -4,82 +4,58 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 )
 
-// Diff is one deviation between a baseline export and a fresh run.
+// Diff is one cell where a fresh run differs from its baseline.
 type Diff struct {
 	Export string // export name
-	Row    string // key (first column) of the row
+	Row    int    // row position
 	Column string
 	Old    string
 	New    string
-	// RelChange is |new−old| / max(|old|, 1) for numeric cells, 1 for
-	// non-numeric mismatches.
-	RelChange float64
+	// Host marks a host wall-clock cell (Export.Host): its difference is
+	// reported and never fails a check.
+	Host bool
 }
 
 func (d Diff) String() string {
-	return fmt.Sprintf("%s[%s].%s: %s -> %s (%.2f%%)", d.Export, d.Row, d.Column, d.Old, d.New, 100*d.RelChange)
+	s := fmt.Sprintf("%s[%d].%s: %s -> %s", d.Export, d.Row, d.Column, d.Old, d.New)
+	if d.Host {
+		s += " (host clock, not gated)"
+	}
+	return s
 }
 
 // CompareExports diffs a fresh export against a baseline of the same
-// experiment. Columns are matched by name (JSON round trips lose order),
-// rows by the current export's first column; numeric cells within tolerance
-// (relative) are equal; added or removed rows are reported as diffs on the
-// key column. The harness uses it as a regression gate: deterministic
-// experiments should produce zero diffs at tolerance 0.
-func CompareExports(baseline, current Export, tolerance float64) ([]Diff, error) {
+// experiment. Columns are matched by name (JSON round trips lose order) and
+// rows by position, since a first column may repeat (a trajectory's round);
+// cells must match exactly, and every cell of a row only one side has
+// differs. Differences in the current export's Host columns come back with
+// Host set: a regression gate prints them and fails on the rest.
+func CompareExports(baseline, current Export) ([]Diff, error) {
 	if baseline.Name != current.Name {
 		return nil, fmt.Errorf("bench: comparing %q against %q", current.Name, baseline.Name)
 	}
-	aligned, err := alignColumns(baseline, current.Header)
+	baseline, err := alignColumns(baseline, current.Header)
 	if err != nil {
 		return nil, err
 	}
-	baseline = aligned
-
-	index := func(e Export) map[string][]string {
-		m := make(map[string][]string, len(e.Rows))
-		for _, row := range e.Rows {
-			if len(row) > 0 {
-				m[row[0]] = row
-			}
+	cell := func(rows [][]string, i, c int) string {
+		if i < len(rows) {
+			return rows[i][c]
 		}
-		return m
+		return "(absent)"
 	}
-	oldRows := index(baseline)
-	newRows := index(current)
-
 	var diffs []Diff
-	for key, oldRow := range oldRows {
-		newRow, ok := newRows[key]
-		if !ok {
-			diffs = append(diffs, Diff{Export: baseline.Name, Row: key, Column: baseline.Header[0], Old: key, New: "(removed)", RelChange: 1})
-			continue
-		}
-		for c := 1; c < len(oldRow) && c < len(newRow); c++ {
-			if oldRow[c] == newRow[c] {
-				continue
+	for i := 0; i < max(len(baseline.Rows), len(current.Rows)); i++ {
+		for c, col := range current.Header {
+			if old, cur := cell(baseline.Rows, i, c), cell(current.Rows, i, c); old != cur {
+				diffs = append(diffs, Diff{Export: current.Name, Row: i, Column: col, Old: old, New: cur,
+					Host: slices.Contains(current.Host, col)})
 			}
-			d := Diff{Export: baseline.Name, Row: key, Column: baseline.Header[c], Old: oldRow[c], New: newRow[c], RelChange: 1}
-			ov, oerr := strconv.ParseFloat(oldRow[c], 64)
-			nv, nerr := strconv.ParseFloat(newRow[c], 64)
-			if oerr == nil && nerr == nil {
-				d.RelChange = math.Abs(nv-ov) / math.Max(math.Abs(ov), 1)
-				if d.RelChange <= tolerance {
-					continue
-				}
-			}
-			diffs = append(diffs, d)
-		}
-	}
-	for key := range newRows {
-		if _, ok := oldRows[key]; !ok {
-			diffs = append(diffs, Diff{Export: current.Name, Row: key, Column: current.Header[0], Old: "(absent)", New: key, RelChange: 1})
 		}
 	}
 	return diffs, nil
@@ -119,45 +95,60 @@ func alignColumns(e Export, header []string) (Export, error) {
 	return out, nil
 }
 
-// LoadExport parses an Export previously written by Export.WriteJSON. The
-// JSON object form loses column order, so the loaded header is sorted;
+// LoadExports parses every export in a stream written by Export.WriteJSON
+// (one experiment's, or the whole -all run's), keyed by name. The JSON
+// object form loses column order, so each loaded header is sorted;
 // CompareExports re-aligns columns by name.
-func LoadExport(r io.Reader) (Export, error) {
-	var doc struct {
-		Name string              `json:"name"`
-		Rows []map[string]string `json:"rows"`
-	}
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
-		return Export{}, fmt.Errorf("bench: parsing export: %w", err)
-	}
-	if doc.Name == "" {
-		return Export{}, fmt.Errorf("bench: export has no name")
-	}
-	e := Export{Name: doc.Name}
-	if len(doc.Rows) == 0 {
-		return e, nil
-	}
-	for k := range doc.Rows[0] {
-		e.Header = append(e.Header, k)
-	}
-	sort.Strings(e.Header)
-	for _, obj := range doc.Rows {
-		row := make([]string, len(e.Header))
-		for i, h := range e.Header {
-			row[i] = obj[h]
+func LoadExports(r io.Reader) (map[string]Export, error) {
+	out := make(map[string]Export)
+	dec := json.NewDecoder(r)
+	for {
+		var doc struct {
+			Name string              `json:"name"`
+			Rows []map[string]string `json:"rows"`
 		}
-		e.Rows = append(e.Rows, row)
+		if err := dec.Decode(&doc); err == io.EOF {
+			return out, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("bench: parsing export: %w", err)
+		}
+		if doc.Name == "" {
+			return nil, fmt.Errorf("bench: export has no name")
+		}
+		if _, dup := out[doc.Name]; dup {
+			return nil, fmt.Errorf("bench: export %q appears twice", doc.Name)
+		}
+		e := Export{Name: doc.Name}
+		if len(doc.Rows) > 0 {
+			for k := range doc.Rows[0] {
+				e.Header = append(e.Header, k)
+			}
+			sort.Strings(e.Header)
+		}
+		for _, obj := range doc.Rows {
+			row := make([]string, len(e.Header))
+			for i, h := range e.Header {
+				row[i] = obj[h]
+			}
+			e.Rows = append(e.Rows, row)
+		}
+		out[doc.Name] = e
 	}
-	return e, nil
 }
 
-// RenderDiffs prints the regression report.
-func RenderDiffs(diffs []Diff) string {
+// RenderDiffs prints one export's regression report.
+func RenderDiffs(name string, diffs []Diff) string {
 	if len(diffs) == 0 {
-		return "baseline check: no differences\n"
+		return "baseline check " + name + ": no differences\n"
+	}
+	gated := 0
+	for _, d := range diffs {
+		if !d.Host {
+			gated++
+		}
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "baseline check: %d difference(s)\n", len(diffs))
+	fmt.Fprintf(&b, "baseline check %s: %d difference(s), %d gated\n", name, len(diffs), gated)
 	for _, d := range diffs {
 		fmt.Fprintf(&b, "  %s\n", d)
 	}

@@ -17,6 +17,10 @@ type Export struct {
 	Name   string
 	Header []string
 	Rows   [][]string
+	// Host names the columns whose cells are host wall-clock measurements,
+	// which no seed can pin: a baseline check reports their differences and
+	// gates every other cell exactly.
+	Host []string
 }
 
 // WriteCSV writes the table as RFC-4180 CSV with a header row.
@@ -66,6 +70,7 @@ func ExportTable1(rows []Table1Row) Export {
 	e := Export{
 		Name:   "table1",
 		Header: []string{"label", "size", "problems", "max_sim_ms", "max_host_ms", "avg_dev_pct", "max_dev_pct", "optima", "proven"},
+		Host:   []string{"max_host_ms"},
 	}
 	for _, r := range rows {
 		e.Rows = append(e.Rows, []string{
@@ -98,6 +103,7 @@ func ExportFP(sum *FPSummary) Export {
 	e := Export{
 		Name:   "fp",
 		Header: []string{"name", "size", "optimum", "proven", "value", "hit", "rounds", "host_ms"},
+		Host:   []string{"host_ms"},
 	}
 	for _, r := range sum.Rows {
 		e.Rows = append(e.Rows, []string{
@@ -127,7 +133,7 @@ func ExportTuning(rows []TuningRow) Export {
 
 // ExportScaling converts ablation C rows.
 func ExportScaling(rows []ScalingRow) Export {
-	e := Export{Name: "ablation_scaling", Header: []string{"p", "mean_value", "total_moves", "mean_host_ms"}}
+	e := Export{Name: "ablation_scaling", Header: []string{"p", "mean_value", "total_moves", "mean_host_ms"}, Host: []string{"mean_host_ms"}}
 	for _, r := range rows {
 		e.Rows = append(e.Rows, []string{fint(r.P), fnum(r.MeanValue), fint64(r.TotalMoves), fdur(r.MeanTime)})
 	}
@@ -145,7 +151,7 @@ func ExportStrategy(rows []StrategyRow) Export {
 
 // ExportPolicies converts ablation E rows.
 func ExportPolicies(rows []PolicyRow) Export {
-	e := Export{Name: "ablation_policies", Header: []string{"policy", "mean_value", "mean_host_ms"}}
+	e := Export{Name: "ablation_policies", Header: []string{"policy", "mean_value", "mean_host_ms"}, Host: []string{"mean_host_ms"}}
 	for _, r := range rows {
 		e.Rows = append(e.Rows, []string{r.Policy.String(), fnum(r.MeanValue), fdur(r.MeanTime)})
 	}
@@ -154,7 +160,7 @@ func ExportPolicies(rows []PolicyRow) Export {
 
 // ExportGrain converts ablation F rows.
 func ExportGrain(rows []GrainRow) Export {
-	e := Export{Name: "ablation_grain", Header: []string{"scheme", "value", "moves", "barriers", "host_ms", "moves_per_ms"}}
+	e := Export{Name: "ablation_grain", Header: []string{"scheme", "value", "moves", "barriers", "host_ms", "moves_per_ms"}, Host: []string{"host_ms", "moves_per_ms"}}
 	for _, r := range rows {
 		e.Rows = append(e.Rows, []string{r.Scheme, fnum(r.Value), fint64(r.Moves), fint64(r.Barriers), fdur(r.Elapsed), fnum(r.MovesPerMS)})
 	}
@@ -176,7 +182,7 @@ func ExportSpeedup(rows []SpeedupRow) Export {
 
 // ExportKernel converts ablation H rows.
 func ExportKernel(rows []KernelRow) Export {
-	e := Export{Name: "ablation_kernel", Header: []string{"kernel", "mean_value", "mean_host_ms"}}
+	e := Export{Name: "ablation_kernel", Header: []string{"kernel", "mean_value", "mean_host_ms"}, Host: []string{"mean_host_ms"}}
 	for _, r := range rows {
 		e.Rows = append(e.Rows, []string{r.Kernel, fnum(r.Value.Mean), fnum(r.Time.Mean)})
 	}

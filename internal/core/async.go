@@ -2,13 +2,14 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/mkp"
 	"repro/internal/rng"
 	"repro/internal/tabu"
-	"repro/internal/transport/inproc"
 	"repro/internal/transport/proto"
+	"repro/internal/vtime"
 )
 
 // AsyncOptions configures the decentralized asynchronous scheme the paper
@@ -18,9 +19,9 @@ import (
 type AsyncOptions struct {
 	// P is the number of peers. Default 8.
 	P int
-	// Seed drives all random choices. Unlike the synchronous solver, an
-	// asynchronous run is NOT bitwise reproducible: adoption depends on when
-	// messages arrive relative to each peer's chunks.
+	// Seed drives all random choices. Like the synchronous solver, an
+	// asynchronous run is a pure function of its options: the same options
+	// give the same result, bit for bit, whatever the host's parallelism.
 	Seed uint64
 	// TotalMoves is the per-peer move budget. Default 40000.
 	TotalMoves int64
@@ -30,13 +31,6 @@ type AsyncOptions struct {
 	// Alpha plays the ISP role locally: a peer whose best falls below Alpha
 	// times the best value it has seen restarts from that best. Default 0.99.
 	Alpha float64
-	// StagnationLimit is the number of consecutive chunks without a new best
-	// before the peer restarts from a random solution. Default 3.
-	StagnationLimit int
-	// InitialScore is the self-adaptation credit (the paper's 4).
-	InitialScore int
-	// Base supplies structural tabu parameters; zero value means defaults.
-	Base tabu.Params
 	// Ring restricts each peer's broadcasts to its two ring neighbors
 	// instead of all peers. Improvements then propagate hop by hop — less
 	// traffic, slower convergence; the classic trade-off of decentralized
@@ -44,7 +38,16 @@ type AsyncOptions struct {
 	Ring bool
 }
 
-func (o AsyncOptions) withDefaults(n int) AsyncOptions {
+// A peer restarts from a random solution after asyncStagnationLimit
+// consecutive chunks without a new best, and regenerates its strategy once
+// its self-adaptation credit, starting at asyncInitialScore (the paper's 4),
+// runs out.
+const (
+	asyncStagnationLimit = 3
+	asyncInitialScore    = 4
+)
+
+func (o AsyncOptions) withDefaults() AsyncOptions {
 	if o.P <= 0 {
 		o.P = 8
 	}
@@ -60,79 +63,180 @@ func (o AsyncOptions) withDefaults(n int) AsyncOptions {
 	if o.Alpha <= 0 || o.Alpha >= 1 {
 		o.Alpha = 0.99
 	}
-	if o.StagnationLimit <= 0 {
-		o.StagnationLimit = 3
-	}
-	if o.InitialScore <= 0 {
-		o.InitialScore = 4
-	}
-	if o.Base.BBest == 0 {
-		o.Base = tabu.DefaultParams(n)
-	}
 	return o
 }
 
-// peerReport is what each peer hands the collector when its budget is spent.
-type peerReport struct {
-	peer  int
-	best  mkp.Solution
-	moves int64
-	err   error
+// asyncPeer is one search thread. It owns its searcher, its random stream
+// and its state; nothing else touches them while its chunk runs.
+type asyncPeer struct {
+	searcher *tabu.Searcher
+	r        *rng.Rand
+	strategy tabu.Strategy
+	score    int
+	start    mkp.Solution
+	best     mkp.Solution // best seen by this peer, own or adopted
+	stagnant int
+	run      *tabu.Result // the chunk just run
+	err      error
+}
 
-	replacements   int
-	randomRestarts int
-	strategyResets int
-	strategy       tabu.Strategy
+// asyncMessage is an improvement in flight to peer `to`, arriving at
+// simulated time `arrive`. The solution is the recipient's own clone.
+type asyncMessage struct {
+	arrive time.Duration
+	to     int
+	sol    mkp.Solution
 }
 
 // SolveAsync runs the decentralized asynchronous cooperative tabu search.
-// Peers broadcast every new personal best to all other peers and poll their
-// mailbox between chunks; strategy adaptation is performed locally by each
-// peer with the same score/diameter rules the master uses in CTS2.
+// Each peer publishes every new personal best to its targets (asyncTargets)
+// and folds in what has arrived at its communication points; strategy
+// adaptation is performed locally by each peer with the same score/diameter
+// rules the master uses in CTS2.
+//
+// The run is simulated on the paper's platform (vtime.Alpha): a chunk of k
+// moves costs k × MoveDuration(n, m), a message sent at a chunk's end
+// arrives MessageDuration(proto.SolutionSize(n)) later, and sending costs the
+// sender nothing. Searcher.Run always spends its whole budget, and every
+// peer runs the same schedule (ChunkMoves per chunk, then the remainder), so
+// every peer reaches every communication point at the same simulated
+// instant. The link latency is positive, so nothing sent at an instant can
+// arrive by that instant: the P chunks of one step are independent. That is
+// Chandy–Misra's conservative window, here exactly one step wide, so one
+// lockstep loop replays the asynchronous schedule with no event queue and no
+// lookahead to compute. Each step:
+//
+//  1. runs every peer's chunk in parallel;
+//  2. in peer-id order, publishes each strict improvement, one clone per
+//     recipient, arriving at now + latency;
+//  3. delivers every message that has arrived by now, in (arrival, sender)
+//     order: a peer adopts a strictly better solution and its stagnation
+//     count resets;
+//  4. lets each peer apply its local SGP, then its local ISP.
+//
+// The result's best is the lowest-id peer holding the maximum value, and
+// Stats.SimElapsed is the final simulated clock.
 func SolveAsync(ins *mkp.Instance, opts AsyncOptions) (*Result, error) {
 	if err := ins.Validate(); err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults(ins.N)
-	if err := opts.Base.Validate(); err != nil {
-		return nil, fmt.Errorf("core: base params: %w", err)
-	}
+	opts = opts.withDefaults()
+	began := time.Now()
+	clock := vtime.Alpha()
+	size := proto.SolutionSize(ins.N)
+	perMove, latency := clock.MoveDuration(ins.N, ins.M), clock.MessageDuration(size)
+	base := tabu.DefaultParams(ins.N)
 
-	start := time.Now()
-	net := inproc.New(opts.P, inproc.WithMailboxSize(4*opts.P*int(opts.TotalMoves/opts.ChunkMoves+1)))
 	root := rng.New(opts.Seed)
-	reports := make(chan peerReport, opts.P)
-	for i := 0; i < opts.P; i++ {
-		go asyncPeer(net, i, ins, opts, root.Split(), reports)
+	peers := make([]*asyncPeer, opts.P)
+	for id := range peers {
+		r := root.Split()
+		searcher, err := tabu.NewSearcher(ins, r.Uint64())
+		if err != nil {
+			return nil, fmt.Errorf("core: async peer %d: %w", id, err)
+		}
+		p := &asyncPeer{searcher: searcher, r: r, strategy: tabu.RandomStrategy(ins.N, r), score: asyncInitialScore}
+		if id == 0 {
+			p.start = mkp.Greedy(ins)
+		} else {
+			p.start = mkp.RandomFeasible(ins, r)
+		}
+		p.best = p.start.Clone()
+		peers[id] = p
 	}
 
 	res := &Result{Strategies: make([]tabu.Strategy, opts.P)}
-	res.Stats.Algorithm = CTS2 // closest label; reported distinctly by callers
-	res.Stats.P = opts.P
-	var best mkp.Solution
-	for i := 0; i < opts.P; i++ {
-		rep := <-reports
-		if rep.err != nil {
-			return nil, fmt.Errorf("core: async peer %d: %w", rep.peer, rep.err)
+	st := &res.Stats
+	st.Algorithm = CTS2 // closest label; reported distinctly by callers
+	st.P = opts.P
+	var inflight []asyncMessage // ordered by (arrival, sender) as appended
+	for moved := int64(0); moved < opts.TotalMoves; {
+		budget := min(opts.ChunkMoves, opts.TotalMoves-moved)
+		var wg sync.WaitGroup
+		for _, p := range peers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				params := base
+				params.Strategy = p.strategy
+				p.run, p.err = p.searcher.Run(p.start, params, budget)
+			}()
 		}
-		if best.X == nil || rep.best.Value > best.Value {
-			best = rep.best
+		wg.Wait()
+		moved += budget
+		st.SimElapsed += time.Duration(budget) * perMove
+
+		for id, p := range peers {
+			if p.err != nil {
+				return nil, fmt.Errorf("core: async peer %d: %w", id, p.err)
+			}
+			st.TotalMoves += p.run.Moves
+			if p.run.Best.Value <= p.best.Value {
+				p.stagnant++
+				continue
+			}
+			p.best = p.run.Best
+			p.stagnant = 0
+			for _, to := range asyncTargets(id, opts.P, opts.Ring) {
+				inflight = append(inflight, asyncMessage{arrive: st.SimElapsed + latency, to: to, sol: p.best.Clone()})
+				st.Messages++
+				st.BytesSent += int64(size)
+			}
 		}
-		res.Stats.TotalMoves += rep.moves
-		res.Stats.Replacements += rep.replacements
-		res.Stats.RandomRestarts += rep.randomRestarts
-		res.Stats.StrategyResets += rep.strategyResets
-		res.Strategies[rep.peer] = rep.strategy
+
+		k := 0
+		for ; k < len(inflight) && inflight[k].arrive <= st.SimElapsed; k++ {
+			m := inflight[k]
+			if p := peers[m.to]; m.sol.Value > p.best.Value {
+				p.best = m.sol
+				p.stagnant = 0
+			}
+		}
+		inflight = inflight[k:]
+
+		for _, p := range peers {
+			p.adapt(ins, opts.Alpha, st)
+		}
 	}
-	fs := net.Stats()
-	res.Stats.Messages = fs.Messages
-	res.Stats.BytesSent = fs.Bytes
-	res.Stats.Elapsed = time.Since(start)
+
+	best := peers[0].best
+	for id, p := range peers {
+		if p.best.Value > best.Value {
+			best = p.best
+		}
+		res.Strategies[id] = p.strategy
+	}
 	res.Best = best
+	st.Elapsed = time.Since(began)
 	return res, nil
 }
 
-const tagBest = "best" // peer -> peer: a new personal best solution
+// adapt applies the peer's local SGP (the CTS2 score rule, run by the peer
+// itself instead of a master), then its local ISP: continue from the chunk's
+// best, upgraded to the best seen when too weak, or to a random solution
+// when stagnant.
+func (p *asyncPeer) adapt(ins *mkp.Instance, alpha float64, st *Stats) {
+	if p.run.Improved {
+		p.score++
+	} else {
+		p.score--
+	}
+	if p.score <= 0 {
+		p.strategy, _ = regenerate(p.strategy, p.run.Pool, ins.N, p.r)
+		p.score = asyncInitialScore
+		st.StrategyResets++
+	}
+	p.start = p.run.Best
+	if p.start.Value < alpha*p.best.Value {
+		p.start = p.best
+		st.Replacements++
+	}
+	if p.stagnant >= asyncStagnationLimit {
+		p.start = mkp.RandomFeasible(ins, p.r)
+		st.RandomRestarts++
+		p.stagnant = 0
+	}
+}
 
 // asyncTargets lists the peers id publishes improvements to.
 func asyncTargets(id, p int, ring bool) []int {
@@ -149,102 +253,4 @@ func asyncTargets(id, p int, ring bool) []int {
 		return out
 	}
 	return []int{(id + 1) % p, (id + p - 1) % p}
-}
-
-// asyncPeer runs one decentralized search thread.
-func asyncPeer(net *inproc.Farm, id int, ins *mkp.Instance, opts AsyncOptions, r *rng.Rand, reports chan<- peerReport) {
-	searcher, err := tabu.NewSearcher(ins, r.Uint64())
-	if err != nil {
-		reports <- peerReport{peer: id, err: err}
-		return
-	}
-
-	rep := peerReport{peer: id}
-	strategy := tabu.RandomStrategy(ins.N, r)
-	score := opts.InitialScore
-	var start mkp.Solution
-	if id == 0 {
-		start = mkp.Greedy(ins)
-	} else {
-		start = mkp.RandomFeasible(ins, r)
-	}
-	best := start.Clone() // best seen by this peer (own or received)
-	stagnant := 0
-
-	var moved int64
-	for moved < opts.TotalMoves {
-		budget := opts.ChunkMoves
-		if rest := opts.TotalMoves - moved; budget > rest {
-			budget = rest
-		}
-		params := opts.Base
-		params.Strategy = strategy
-		res, err := searcher.Run(start, params, budget)
-		if err != nil {
-			rep.err = err
-			reports <- rep
-			return
-		}
-		moved += res.Moves
-
-		// Publish a strict improvement, asynchronously: to every other peer
-		// (full crossbar) or to the two ring neighbors. Each recipient gets
-		// its own clone: a shared bitset would alias this peer's working
-		// copy across goroutines, and a peer that forwards or adopts the
-		// message must be able to treat it as exclusively owned.
-		if res.Best.Value > best.Value {
-			best = res.Best
-			stagnant = 0
-			for _, other := range asyncTargets(id, net.Nodes(), opts.Ring) {
-				net.Send(id, other, tagBest, best.Clone(), proto.SolutionSize(ins.N))
-			}
-		} else {
-			stagnant++
-		}
-
-		// Fold in anything peers sent while we were searching, cloning at
-		// the store boundary so the adopted solution is owned by this peer.
-		for {
-			msg, ok := net.TryRecv(id)
-			if !ok {
-				break
-			}
-			if sol, ok := msg.Payload.(mkp.Solution); ok && sol.Value > best.Value {
-				best = sol.Clone()
-				stagnant = 0
-			}
-		}
-
-		// Local strategy adaptation (the CTS2 rules, applied by the peer
-		// itself instead of a master).
-		if res.Improved {
-			score++
-		} else {
-			score--
-		}
-		if score <= 0 {
-			strategy, _ = regenerate(strategy, res.Pool, ins.N, r)
-			score = opts.InitialScore
-			rep.strategyResets++
-		}
-
-		// Local ISP: continue from own round best, upgraded to the best seen
-		// when too weak, or to a random solution when stagnant.
-		next := res.Best
-		if next.Value < opts.Alpha*best.Value {
-			next = best
-			rep.replacements++
-		}
-		if stagnant >= opts.StagnationLimit {
-			next = mkp.RandomFeasible(ins, r)
-			rep.randomRestarts++
-			stagnant = 0
-		}
-		start = next
-	}
-
-	rep.best = best
-	rep.moves = moved
-	rep.strategy = strategy
-	reports <- rep
 }

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/mkp"
 )
@@ -58,5 +61,64 @@ func TestSolveAsyncRingRunsAndTalksLess(t *testing.T) {
 	// fully deterministic across topologies, so the assertion is <=.)
 	if ring.Stats.Messages > full.Stats.Messages {
 		t.Fatalf("ring sent more messages (%d) than full (%d)", ring.Stats.Messages, full.Stats.Messages)
+	}
+}
+
+// TestAsyncReplays: an asynchronous run is a pure function of its options.
+// Peers run their chunks on parallel goroutines, so under -race -count=N this
+// also shows that no decision depends on which chunk finishes first.
+func TestAsyncReplays(t *testing.T) {
+	ins := testInstance(50, 4, 73)
+	for _, ring := range []bool{false, true} {
+		t.Run(fmt.Sprintf("ring=%v", ring), func(t *testing.T) {
+			opts := AsyncOptions{P: 6, Seed: 3, TotalMoves: 3000, ChunkMoves: 150, Ring: ring}
+			a, err := SolveAsync(ins, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := SolveAsync(ins, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Best.Value != b.Best.Value || !a.Best.X.Equal(b.Best.X) {
+				t.Fatalf("best %v vs %v", a.Best.Value, b.Best.Value)
+			}
+			sa, sb := a.Stats, b.Stats
+			if sa.TotalMoves != sb.TotalMoves || sa.Messages != sb.Messages ||
+				sa.BytesSent != sb.BytesSent || sa.SimElapsed != sb.SimElapsed {
+				t.Fatalf("moves/messages/bytes/sim %d/%d/%d/%v vs %d/%d/%d/%v",
+					sa.TotalMoves, sa.Messages, sa.BytesSent, sa.SimElapsed,
+					sb.TotalMoves, sb.Messages, sb.BytesSent, sb.SimElapsed)
+			}
+			if !slices.Equal(a.Strategies, b.Strategies) {
+				t.Fatalf("final strategies %v vs %v", a.Strategies, b.Strategies)
+			}
+		})
+	}
+}
+
+// TestAsyncGolden pins the asynchronous scheme on a tiny instance, for both
+// topologies: any drift in the lockstep schedule, the message model or a
+// peer's draws moves one of these.
+func TestAsyncGolden(t *testing.T) {
+	ins := testInstance(30, 3, 5)
+	golden := []struct {
+		ring     bool
+		best     float64
+		messages int64
+		sim      time.Duration
+	}{
+		{false, 880, 16, 2592 * time.Microsecond},
+		{true, 880, 12, 2592 * time.Microsecond},
+	}
+	for _, g := range golden {
+		res, err := SolveAsync(ins, AsyncOptions{P: 5, Seed: 11, TotalMoves: 1200, ChunkMoves: 100, Ring: g.ring})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Best.Value != g.best || res.Stats.Messages != g.messages || res.Stats.SimElapsed != g.sim {
+			t.Errorf("ring=%v: best %v, %d messages, sim %v; want %v, %d, %v", g.ring,
+				res.Best.Value, res.Stats.Messages, int64(res.Stats.SimElapsed), g.best, g.messages, int64(g.sim))
+		}
 	}
 }

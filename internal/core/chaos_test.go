@@ -430,7 +430,10 @@ func (s stallRound) Recv(node int) transport.Message {
 // stall: one worker's host stalls 300 ms before one round order, far past
 // the ~100 ms deadline; the run re-sends nothing, declares nobody dead and
 // equals the in-process run. hung: a worker that handshakes and then never
-// answers is still missed, once SlaveTimeout has passed, and declared dead.
+// answers is still missed, once SlaveTimeout has passed, and declared dead;
+// each miss is re-sent straight to the live worker, never back to the silent
+// one, so the run spends 3 re-sends: one per round until the third miss
+// declares the worker dead.
 func TestChaosLiveMemberWaitedOn(t *testing.T) {
 	ins := testInstance(60, 5, 404)
 	t.Run("stall", func(t *testing.T) {
@@ -477,6 +480,9 @@ func TestChaosLiveMemberWaitedOn(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Logf("redispatches=%d in %s", res.Stats.Redispatches, time.Since(began))
+		if res.Stats.Redispatches != 3 {
+			t.Errorf("redispatches=%d, want 3: a miss went back to the silent worker", res.Stats.Redispatches)
+		}
 		if res.Stats.Rounds != opts.Rounds || res.Stats.DeadSlaves != 1 {
 			t.Fatalf("rounds=%d dead=%d, want %d rounds and the hung worker dead",
 				res.Stats.Rounds, res.Stats.DeadSlaves, opts.Rounds)

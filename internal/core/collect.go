@@ -85,8 +85,9 @@ func (c *collector) vetResult(rep proto.Result) string {
 const deadAfterMisses = 3
 
 // maxRedispatch is how many times one slot's round may be re-sent after a
-// missed rendezvous before the round is abandoned for that slot: once to the
-// original slave, once to a borrowed live slave.
+// missed rendezvous before the round is abandoned for that slot: in-process
+// once to the original slave, once to a borrowed live slave; on a wire fleet
+// both re-sends borrow when a live slave has reported.
 const maxRedispatch = 2
 
 // quarantineStrikes is how many revalidation failures (forged or infeasible
@@ -106,14 +107,15 @@ const quarantineStrikes = 3
 // arrive, on a wire fleet when the deadline passes. There, TCP loses nothing
 // on a live connection: a slot whose member is still live is missed only once
 // SlaveTimeout has passed since its order went out. Each missed slot is then
-// re-dispatched — first to its own slave (the loss may have been a dropped
-// message), then to a live slave that has already reported this round — and
-// abandoned once maxRedispatch re-sends are spent. On an elastic fleet a
-// straggler's slot is also stolen before the deadline, lent early to a node
-// that has already reported. A node that stays silent deadAfterMisses rounds
-// in a row is declared dead, as is one that reports an error; an error also
-// abandons that slot's round. Traffic is attributed to the sender the
-// transport stamped (Message.From), never to the node a payload names.
+// re-dispatched — in-process first to its own slave (the loss may have been a
+// dropped message), then to a live slave that has already reported this
+// round; on a fleet straight to such a live slave — and abandoned once
+// maxRedispatch re-sends are spent. On an elastic fleet a straggler's slot
+// is also stolen before the deadline, lent early to a node that has already
+// reported. A node that stays silent deadAfterMisses rounds in a row is
+// declared dead, as is one that reports an error; an error also abandons
+// that slot's round. Traffic is attributed to the sender the transport
+// stamped (Message.From), never to the node a payload names.
 func (c *collector) collect(round int, budgets []int64, results []*tabu.Result) bool {
 	const (
 		pending = iota
@@ -416,18 +418,23 @@ func (c *collector) checkIdentity(from, claimed, round int) {
 	}
 }
 
-// redispatch re-sends slot's round: the first retry goes back to the slot's
-// current node, later ones to live slaves that already reported this round.
-// It reports false when the retry budget is spent or no target exists.
+// redispatch re-sends slot's round: in-process the first retry goes back to
+// the slot's current node, later ones to live slaves that already reported
+// this round. On a fleet every retry borrows such a slave: TCP loses
+// nothing, so a copy sent to the silent node would only queue behind the
+// order it has not answered. With nobody to borrow, a live current node gets
+// the retry. It reports false when the retry budget is spent or no target
+// exists.
 func (c *collector) redispatch(slot, round int, budgets []int64, attempts, assigned []int, finished []int, borrow *int) bool {
 	for attempts[slot] < maxRedispatch {
 		attempts[slot]++
 		node := assigned[slot]
-		if attempts[slot] > 1 || !c.alive[node-1] {
-			// The original slave already had its chance (or is dead):
-			// borrow a live one that proved responsive this round. A node
-			// that reported and was then declared dead or quarantined is
-			// skipped — "finished" is a history, not a liveness promise.
+		if attempts[slot] > 1 || !c.alive[node-1] || c.fleet != nil {
+			// The original slave already had its chance (or is dead, or sits
+			// behind a lossless link): borrow a live one that proved
+			// responsive this round. A node that reported and was then
+			// declared dead or quarantined is skipped — "finished" is a
+			// history, not a liveness promise.
 			borrowed := 0
 			for tries := 0; tries < len(finished); tries++ {
 				cand := finished[*borrow%len(finished)]

@@ -288,9 +288,10 @@ func TestFaultCrashAtNodeRange(t *testing.T) {
 }
 
 // TestFaultFreeAsyncAliasingRace is the -race regression for solution
-// aliasing across farm messages: ring topology forces peers to adopt and
-// re-publish received solutions, so a published bitset shared with the
-// sender's working copy trips the race detector immediately.
+// aliasing across peer messages: ring topology forces peers to adopt and
+// re-publish received solutions while every peer's chunk runs on its own
+// goroutine. Each recipient gets its own clone, so a peer that writes into a
+// solution it adopted cannot race the sender or another recipient.
 func TestFaultFreeAsyncAliasingRace(t *testing.T) {
 	ins := testInstance(50, 4, 73)
 	res, err := SolveAsync(ins, AsyncOptions{

@@ -365,8 +365,8 @@ type Stats struct {
 	P               int
 	Rounds          int       // rounds actually executed
 	TotalMoves      int64     // compound moves summed over all slaves
-	Messages        int64     // farm messages
-	BytesSent       int64     // farm bytes
+	Messages        int64     // messages sent (farm, fleet or SolveAsync's peer links)
+	BytesSent       int64     // their payload bytes
 	Replacements    int       // ISP global-best substitutions
 	RandomRestarts  int       // ISP random-solution substitutions
 	StrategyResets  int       // SGP strategy regenerations

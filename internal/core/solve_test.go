@@ -241,11 +241,11 @@ func TestOptionsDefaults(t *testing.T) {
 	if err := o.Base.Validate(); err != nil {
 		t.Fatalf("default base params invalid: %v", err)
 	}
-	ao := AsyncOptions{}.withDefaults(100)
+	ao := AsyncOptions{}.withDefaults()
 	if ao.P != 8 || ao.TotalMoves != 40000 || ao.ChunkMoves != 1000 {
 		t.Fatalf("unexpected async defaults: %+v", ao)
 	}
-	small := AsyncOptions{TotalMoves: 10, ChunkMoves: 100}.withDefaults(100)
+	small := AsyncOptions{TotalMoves: 10, ChunkMoves: 100}.withDefaults()
 	if small.ChunkMoves != 10 {
 		t.Fatalf("ChunkMoves not clamped to TotalMoves: %+v", small)
 	}

@@ -17,8 +17,8 @@ func BenchmarkSendRecv(b *testing.B) {
 	}
 }
 
-// BenchmarkBroadcast16 measures a 16-way broadcast, the async scheme's
-// per-improvement cost on the paper's farm size.
+// BenchmarkBroadcast16 measures a 15-way fan-out from the master, one order
+// per slave on the paper's farm size.
 func BenchmarkBroadcast16(b *testing.B) {
 	f := New(16)
 	b.ReportAllocs()
@@ -30,7 +30,7 @@ func BenchmarkBroadcast16(b *testing.B) {
 			}
 		}
 		for to := 1; to < 16; to++ {
-			f.Drain(to)
+			f.drain(to)
 		}
 	}
 }

@@ -1,9 +1,9 @@
 // Package inproc is the in-process transport: the stand-in for the paper's
 // execution environment of 16 Alpha processors exchanging PVM messages over a
 // 16×16 crossbar (§5). Nodes are goroutines, links are FIFO mailboxes, and
-// every send is accounted (message and byte counters per directed link) so
-// the experiment harness can report the communication volume the cooperative
-// scheme generates.
+// every send is accounted (message and byte counters) so the experiment
+// harness can report the communication volume the master–slave scheme
+// generates.
 //
 // The farm is purely logical. Nothing injects latency, and the farm reads no
 // clock: a message is deliverable as soon as it is queued. The 1997 link cost
@@ -18,11 +18,10 @@
 // so a fault schedule replays identically for a fixed plan regardless of
 // goroutine interleaving across links.
 //
-// The paper's master–slave scheme is synchronous and centralized; the
-// decentralized asynchronous extension polls with TryRecv. Both are
-// supported, and RecvTimeout tells the master when nothing more can arrive,
-// so a rendezvous survives lost replies without waiting on a clock. Metric
-// families keep the historical `farm_` prefix: the package moved under
+// The farm carries one scheme, the paper's synchronous, centralized
+// master–slave rendezvous: RecvTimeout tells the master when nothing more can
+// arrive, so a rendezvous survives lost replies without waiting on a clock.
+// Metric families keep the historical `farm_` prefix: the package moved under
 // internal/transport, but recorded telemetry is an external contract.
 package inproc
 
@@ -72,6 +71,9 @@ func (p *FaultPlan) Validate() error {
 	}
 	return nil
 }
+
+// mailboxSize is each node's mailbox capacity.
+const mailboxSize = 1024
 
 // mailbox is one node's FIFO delivery queue. Senders block while the queue
 // is at capacity; receivers wait on an arrival token. Waiters always re-check
@@ -129,24 +131,21 @@ func (b *mailbox) pop() (transport.Message, bool) {
 
 // Farm connects n nodes (0..n-1) with a full crossbar of FIFO mailboxes. It
 // is both sides of the seam: the master's transport.Hub and every slave's
-// transport.Transport. Crashed, Revive, Drain, TryRecv and Nodes are the
-// in-process extras the supervisor and the asynchronous scheme use.
+// transport.Transport. Crashed and Revive are the in-process extras the
+// supervisor uses.
 type Farm struct {
 	n      int
-	boxCap int
 	boxes  []*mailbox
 	faults *FaultPlan
 
 	msgs    atomic.Int64
 	bytes   atomic.Int64
 	dropped atomic.Int64
-	dups    atomic.Int64
 
-	mu       sync.Mutex
-	linkMsgs map[[2]int]int64
-	linkRng  map[[2]int]*rng.Rand
-	sent     []int64 // per-node send count, for CrashAt accounting
-	crashAt  []int64 // per-node send budget copied from the plan; -1 = none (cleared by Revive)
+	mu      sync.Mutex
+	linkRng map[[2]int]*rng.Rand
+	sent    []int64 // per-node send count, for CrashAt accounting
+	crashAt []int64 // per-node send budget copied from the plan; -1 = none (cleared by Revive)
 
 	// busy counts the messages queued for slaves plus the slaves holding one
 	// (see mark); quiescence is busy == 0.
@@ -168,16 +167,6 @@ type Farm struct {
 // Option configures a Farm.
 type Option func(*Farm)
 
-// WithMailboxSize sets each node's mailbox capacity (default 1024). Senders
-// block while the destination mailbox is full.
-func WithMailboxSize(size int) Option {
-	return func(f *Farm) {
-		if size > 0 {
-			f.boxCap = size
-		}
-	}
-}
-
 // WithFaults installs a deterministic fault plan. New panics if the plan is
 // invalid (a configuration error, like a non-positive node count).
 func WithFaults(p *FaultPlan) Option {
@@ -198,11 +187,9 @@ func New(n int, opts ...Option) *Farm {
 		panic(fmt.Sprintf("inproc: need at least one node, got %d", n))
 	}
 	f := &Farm{
-		n:        n,
-		boxCap:   1024,
-		linkMsgs: make(map[[2]int]int64),
-		sent:     make([]int64, n),
-		holding:  make([]bool, n),
+		n:       n,
+		sent:    make([]int64, n),
+		holding: make([]bool, n),
 	}
 	for _, o := range opts {
 		o(f)
@@ -226,7 +213,7 @@ func New(n int, opts ...Option) *Farm {
 	}
 	f.boxes = make([]*mailbox, n)
 	for i := range f.boxes {
-		f.boxes[i] = newMailbox(f.boxCap)
+		f.boxes[i] = newMailbox(mailboxSize)
 	}
 	if f.reg != nil {
 		f.reg.SetHelp("farm_messages_total", "Messages enqueued for delivery (duplicates included).")
@@ -244,9 +231,6 @@ func New(n int, opts ...Option) *Farm {
 	}
 	return f
 }
-
-// Nodes returns the number of nodes.
-func (f *Farm) Nodes() int { return f.n }
 
 // Send delivers a message from node `from` to node `to`, subject to the
 // configured fault plan. size is the accounted payload size in bytes (use
@@ -288,7 +272,6 @@ func (f *Farm) send(from, to int, tag string, payload any, size int, control boo
 		}
 		if f.faults.DupRate > 0 && r.Float64() < f.faults.DupRate {
 			copies = 2
-			f.dups.Add(1)
 			f.mDups.Inc()
 		}
 		f.mu.Unlock()
@@ -299,12 +282,11 @@ func (f *Farm) send(from, to int, tag string, payload any, size int, control boo
 		f.bytes.Add(int64(size))
 		f.mMsgs.Inc()
 		f.mBytes.Add(int64(size))
-		f.mu.Lock()
-		f.linkMsgs[[2]int{from, to}]++
 		if to != 0 {
+			f.mu.Lock()
 			f.busy++ // counted before a receiver can take it
+			f.mu.Unlock()
 		}
-		f.mu.Unlock()
 		f.boxes[to].put(m)
 	}
 	return nil
@@ -359,17 +341,6 @@ func (f *Farm) recv(node int, untilQuiet bool) (transport.Message, bool) {
 	}
 }
 
-// TryRecv returns node's head message, or ok=false when its mailbox is
-// empty. The asynchronous scheme polls with it between moves.
-func (f *Farm) TryRecv(node int) (transport.Message, bool) {
-	f.mark(node, false)
-	m, ok := f.boxes[node].pop()
-	if ok {
-		f.mark(node, true)
-	}
-	return m, ok
-}
-
 // mark records whether slave node holds a message: it takes one off its queue
 // (still counted, now as held) and lets it go when it next calls a receive,
 // or when Revive replaces it — a node that exited on a stop order stays busy
@@ -395,9 +366,9 @@ func (f *Farm) settle(k int) {
 	}
 }
 
-// Drain discards all pending messages for node and returns how many there
+// drain discards all pending messages for node and returns how many there
 // were.
-func (f *Farm) Drain(node int) int {
+func (f *Farm) drain(node int) int {
 	count := 0
 	for {
 		if _, ok := f.boxes[node].pop(); !ok {
@@ -447,31 +418,14 @@ func (f *Farm) Revive(node int) int {
 	}
 	f.mu.Unlock()
 	f.mark(node, false)
-	return f.Drain(node)
+	return f.drain(node)
 }
 
 // Stats returns a snapshot of the traffic counters.
 func (f *Farm) Stats() transport.Stats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	links := make(map[[2]int]int64, len(f.linkMsgs))
-	in := make(map[int]int64)
-	for k, v := range f.linkMsgs {
-		links[k] = v
-		in[k[1]] += v
-	}
-	busiest, most := 0, int64(-1)
-	for node, c := range in {
-		if c > most || (c == most && node < busiest) {
-			busiest, most = node, c
-		}
-	}
 	return transport.Stats{
-		Messages:   f.msgs.Load(),
-		Bytes:      f.bytes.Load(),
-		Dropped:    f.dropped.Load(),
-		Duplicated: f.dups.Load(),
-		LinkMsgs:   links,
-		BusiestIn:  busiest,
+		Messages: f.msgs.Load(),
+		Bytes:    f.bytes.Load(),
+		Dropped:  f.dropped.Load(),
 	}
 }

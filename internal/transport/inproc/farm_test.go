@@ -37,20 +37,6 @@ func TestNewPanicsOnZeroNodes(t *testing.T) {
 	New(0)
 }
 
-func TestTryRecv(t *testing.T) {
-	f := New(2)
-	if _, ok := f.TryRecv(1); ok {
-		t.Fatal("TryRecv returned a message from an empty mailbox")
-	}
-	if err := f.Send(0, 1, "t", nil, 4); err != nil {
-		t.Fatal(err)
-	}
-	m, ok := f.TryRecv(1)
-	if !ok || m.Tag != "t" {
-		t.Fatalf("TryRecv = %+v, %v", m, ok)
-	}
-}
-
 func TestDrain(t *testing.T) {
 	f := New(2)
 	for i := 0; i < 5; i++ {
@@ -58,11 +44,11 @@ func TestDrain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := f.Drain(1); n != 5 {
-		t.Fatalf("Drain = %d, want 5", n)
+	if n := f.drain(1); n != 5 {
+		t.Fatalf("drain = %d, want 5", n)
 	}
-	if _, ok := f.TryRecv(1); ok {
-		t.Fatal("mailbox not empty after Drain")
+	if _, ok := f.boxes[1].pop(); ok {
+		t.Fatal("mailbox not empty after drain")
 	}
 }
 
@@ -92,12 +78,6 @@ func TestStatsAccounting(t *testing.T) {
 	}
 	if s.Bytes != 36 {
 		t.Fatalf("Bytes = %d, want 36", s.Bytes)
-	}
-	if s.LinkMsgs[[2]int{0, 1}] != 2 {
-		t.Fatalf("link 0->1 = %d, want 2", s.LinkMsgs[[2]int{0, 1}])
-	}
-	if s.BusiestIn != 1 {
-		t.Fatalf("BusiestIn = %d, want 1", s.BusiestIn)
 	}
 }
 
@@ -163,13 +143,10 @@ func TestFaultDuplication(t *testing.T) {
 		}
 	}
 	s := f.Stats()
-	if s.Duplicated == 0 {
-		t.Fatal("no duplications at 50% rate")
+	if s.Messages <= sends {
+		t.Fatalf("Messages %d, want more than the %d sends at a 50%% duplication rate", s.Messages, sends)
 	}
-	if s.Messages != sends+s.Duplicated {
-		t.Fatalf("Messages %d != sends %d + dups %d", s.Messages, sends, s.Duplicated)
-	}
-	if got := int64(f.Drain(1)); got != s.Messages {
+	if got := int64(f.drain(1)); got != s.Messages {
 		t.Fatalf("drained %d, accounted %d", got, s.Messages)
 	}
 }
@@ -181,7 +158,7 @@ func TestFaultCrashAfterK(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := f.Drain(1); got != 3 {
+	if got := f.drain(1); got != 3 {
 		t.Fatalf("crashed node delivered %d messages, want 3", got)
 	}
 	if s := f.Stats(); s.Dropped != 7 {
@@ -191,7 +168,7 @@ func TestFaultCrashAfterK(t *testing.T) {
 	if err := f.Send(1, 0, "ok", nil, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := f.TryRecv(0); !ok {
+	if _, ok := f.boxes[0].pop(); !ok {
 		t.Fatal("healthy node's send swallowed")
 	}
 }
@@ -201,13 +178,13 @@ func TestSendControlBypassesFaults(t *testing.T) {
 	if err := f.Send(0, 1, "doomed", nil, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := f.TryRecv(1); ok {
+	if _, ok := f.boxes[1].pop(); ok {
 		t.Fatal("DropRate 1 delivered a data message")
 	}
 	if err := f.SendControl(0, 1, "stop", nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	if m, ok := f.TryRecv(1); !ok || m.Tag != "stop" {
+	if m, ok := f.boxes[1].pop(); !ok || m.Tag != "stop" {
 		t.Fatal("control message swallowed by the injector")
 	}
 }
@@ -221,26 +198,26 @@ func TestWithFaultsPanicsOnBadPlan(t *testing.T) {
 	New(2, WithFaults(&FaultPlan{DropRate: 1.5}))
 }
 
-func TestMailboxSizeOption(t *testing.T) {
-	f := New(2, WithMailboxSize(1))
-	if err := f.Send(0, 1, "a", nil, 1); err != nil {
-		t.Fatal(err)
-	}
+func TestMailboxBound(t *testing.T) {
+	b := newMailbox(1)
+	b.put(transport.Message{Tag: "a"})
 	done := make(chan struct{})
 	go func() {
-		f.Send(0, 1, "b", nil, 1) // blocks until the first is consumed
+		b.put(transport.Message{Tag: "b"}) // blocks until the first is consumed
 		close(done)
 	}()
 	select {
 	case <-done:
-		t.Fatal("second send did not block on a full size-1 mailbox")
+		t.Fatal("second put did not block on a full size-1 mailbox")
 	case <-time.After(20 * time.Millisecond):
 	}
-	f.Recv(1)
+	if m, ok := b.pop(); !ok || m.Tag != "a" {
+		t.Fatalf("pop = %+v, %v", m, ok)
+	}
 	select {
 	case <-done:
 	case <-time.After(time.Second):
-		t.Fatal("send never unblocked")
+		t.Fatal("put never unblocked")
 	}
 }
 
@@ -272,7 +249,7 @@ func TestReviveClearsCrashAndDrainsMailbox(t *testing.T) {
 	if err := f.Send(1, 0, "lost", nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := f.TryRecv(0); ok {
+	if _, ok := f.boxes[0].pop(); ok {
 		t.Fatal("crashed node's send was delivered")
 	}
 	// Two stale orders queue at the dead node.
@@ -289,7 +266,7 @@ func TestReviveClearsCrashAndDrainsMailbox(t *testing.T) {
 	if err := f.Send(1, 0, "alive", nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	if m, ok := f.TryRecv(0); !ok || m.Tag != "alive" {
+	if m, ok := f.boxes[0].pop(); !ok || m.Tag != "alive" {
 		t.Fatalf("revived node's send not delivered: %+v ok=%v", m, ok)
 	}
 	if f.faults.CrashAt[1] != 0 {
@@ -372,14 +349,14 @@ func TestQuiescenceHeldAndQueued(t *testing.T) {
 }
 
 // TestQuiescenceDrainedOrder: an order queued for a slave that never takes it
-// keeps the master waiting, however long that takes, until Drain discards it.
+// keeps the master waiting, however long that takes, until drain discards it.
 func TestQuiescenceDrainedOrder(t *testing.T) {
 	f := New(2)
 	f.Send(0, 1, "order", nil, 1)
 	wait := masterWait(f)
 	mustBlock(t, wait, "order queued, never taken")
-	if n := f.Drain(1); n != 1 {
-		t.Fatalf("Drain = %d, want 1", n)
+	if n := f.drain(1); n != 1 {
+		t.Fatalf("drain = %d, want 1", n)
 	}
 	mustReturn(t, wait, false, "order drained")
 }

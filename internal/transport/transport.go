@@ -67,14 +67,10 @@ type Hub interface {
 	Stats() Stats
 }
 
-// Stats is a snapshot of a transport's accounting counters. LinkMsgs,
-// BusiestIn and Duplicated are the in-process farm's accounting; a wire
-// fleet leaves them zero.
+// Stats is a snapshot of a transport's accounting counters, the same on
+// every substrate.
 type Stats struct {
-	Messages   int64            // messages enqueued for delivery (duplicates included)
-	Bytes      int64            // payload bytes enqueued for delivery
-	Dropped    int64            // messages swallowed by faults, crashed senders or dead peers
-	Duplicated int64            // messages the fault injector delivered twice
-	LinkMsgs   map[[2]int]int64 // directed link -> delivered message count
-	BusiestIn  int              // node receiving the most messages
+	Messages int64 // messages enqueued for delivery (duplicates included)
+	Bytes    int64 // payload bytes enqueued for delivery
+	Dropped  int64 // messages swallowed by faults, crashed senders or dead peers
 }

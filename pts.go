@@ -69,8 +69,8 @@ func Solve(ins *Instance, algo Algorithm, opts Options) (*Result, error) {
 }
 
 // SolveAsync runs the decentralized asynchronous cooperative search (the
-// paper's announced future work). Unlike Solve it is not bitwise
-// reproducible: adoption depends on message timing.
+// paper's announced future work) in simulated time on the paper's platform.
+// Like Solve it is deterministic: the result is a function of the options.
 func SolveAsync(ins *Instance, opts AsyncOptions) (*Result, error) {
 	return core.SolveAsync(ins, opts)
 }
